@@ -8,7 +8,7 @@ from .graphs import (BudgetExceededError, ChannelGraph, IndependenceResult,
                      strong_power, strong_product, zero_graph)
 from .numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
                        RationalFraction, aberth_roots, closed_form_counts,
-                       linear_recurrence_extend, polynomial_gcd,
+                       count_walks, linear_recurrence_extend, polynomial_gcd,
                        series_coefficients, smallest_modulus_root,
                        spectral_radius, unique_positive_root)
 from .varlen import (GeneratorSet, NonUniquelyDecodableError, RateResult,
@@ -24,9 +24,9 @@ from .intermingled import rate as intermingled_rate
 from .intermingled import verify_zero_error as verify_intermingled
 from .automata import (AmbiguousExpressionError, ChannelSeriesPrefix, Concat,
                        Dfa, Empty, Epsilon, Letter, RationalCode, RationalRate,
-                       Star, Union, adjacency_matrix, channel_series_prefix,
-                       count_language, generator_series, parse_regex,
-                       rational_code_rate, regex_to_dfa)
+                       Star, Union, channel_series_prefix, count_language,
+                       generator_series, parse_regex, rational_code_rate,
+                       regex_to_dfa, useful_successors)
 
 __version__ = "1.0.0"
 
@@ -38,9 +38,9 @@ __all__ = [
     "MultipleRootError", "NonUniquelyDecodableError", "RateResult",
     "RationalCode", "RationalFraction", "RationalRate", "Star",
     "SuccessionRule", "TransitionGraph", "Union", "aberth_roots",
-    "adjacency_matrix", "build_transition_graph", "channel_series_prefix",
+    "build_transition_graph", "channel_series_prefix",
     "closed_form_counts", "complete", "count_concatenations", "count_language",
-    "count_sequences", "cycle", "cycle_power_symmetries",
+    "count_sequences", "count_walks", "cycle", "cycle_power_symmetries",
     "cycle_product_independence", "disjoint_union", "distinguishable",
     "enumerate_codewords", "full_rule", "generator_series",
     "generator_set_rate", "graph_by_name", "independence_number",
@@ -50,6 +50,6 @@ __all__ = [
     "regex_to_dfa", "rule_from_json", "series_coefficients",
     "single_open_rule", "smallest_modulus_root", "spectral_radius",
     "strong_power", "strong_product", "table_rule", "unique_positive_root",
-    "varlen_rule", "verify_generator_set", "verify_intermingled",
-    "zero_graph",
+    "useful_successors", "varlen_rule", "verify_generator_set",
+    "verify_intermingled", "zero_graph",
 ]

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union as TyUnion
 
 from .graphs import ChannelGraph, independence_number, strong_power
-from .numerics import (IntPolynomial, RationalFraction, series_coefficients,
-                       smallest_modulus_root, spectral_radius)
+from .numerics import (IntPolynomial, RationalFraction, count_walks,
+                       series_coefficients, smallest_modulus_root,
+                       spectral_radius)
 
 
 class AmbiguousExpressionError(Exception):
@@ -329,56 +330,38 @@ def _minimize(alphabet: tuple[int, ...], table: list[list[int]], start: int,
 
 
 def count_language(dfa: Dfa, up_to: int) -> list[int]:
-    """Words accepted per length, exact, by dynamic programming on states."""
-    n = dfa.state_count()
-    vec = [0] * n
-    vec[dfa.start] = 1
-    out = [sum(vec[s] for s in dfa.accepting)]
-    for _ in range(up_to):
-        nxt = [0] * n
-        for s, v in enumerate(vec):
-            if v:
-                for t in dfa.transitions[s]:
-                    nxt[t] += v
-        vec = nxt
-        out.append(sum(vec[s] for s in dfa.accepting))
-    return out
+    """Words accepted per length, exact, by counting walks on the DFA."""
+    return count_walks(dfa.transitions, dfa.start, dfa.accepting, up_to)
 
 
-def adjacency_matrix(dfa: Dfa, trim: bool = True) -> list[list[int]]:
-    """Letter-multiplicity adjacency matrix of the DFA transition graph.
+def useful_successors(dfa: Dfa) -> list[list[int]]:
+    """Successor lists of the DFA restricted to its useful states.
 
-    With ``trim`` the matrix is restricted to useful states (reachable from
-    the start and co-reachable to an accepting state); the sink then drops
-    out, so the spectral radius reflects language growth.
+    Useful states are reachable from the start and co-reachable to an
+    accepting state, renumbered in increasing order; the sink drops out, so
+    the spectral radius reflects language growth.  A target appears once per
+    letter leading to it.
     """
     n = dfa.state_count()
-    keep = list(range(n))
-    if trim:
-        co = set(dfa.accepting)
-        changed = True
-        while changed:
-            changed = False
-            for s in range(n):
-                if s not in co and any(t in co for t in dfa.transitions[s]):
-                    co.add(s)
-                    changed = True
-        reach = {dfa.start}
-        queue = deque([dfa.start])
-        while queue:
-            s = queue.popleft()
-            for t in dfa.transitions[s]:
-                if t not in reach:
-                    reach.add(t)
-                    queue.append(t)
-        keep = sorted(reach & co)
-    idx = {s: i for i, s in enumerate(keep)}
-    m = [[0] * len(keep) for _ in keep]
-    for s in keep:
+    co = set(dfa.accepting)
+    changed = True
+    while changed:
+        changed = False
+        for s in range(n):
+            if s not in co and any(t in co for t in dfa.transitions[s]):
+                co.add(s)
+                changed = True
+    reach = {dfa.start}
+    queue = deque([dfa.start])
+    while queue:
+        s = queue.popleft()
         for t in dfa.transitions[s]:
-            if t in idx:
-                m[idx[s]][idx[t]] += 1
-    return m
+            if t not in reach:
+                reach.add(t)
+                queue.append(t)
+    keep = sorted(reach & co)
+    idx = {s: i for i, s in enumerate(keep)}
+    return [[idx[t] for t in dfa.transitions[s] if t in idx] for s in keep]
 
 
 def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None,
@@ -386,8 +369,9 @@ def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None,
     """Counting series of L(e) by the recursive composition rules.
 
     The disjointness hypotheses behind union, concatenation and star are
-    checked empirically: the composed series must match the DFA word counts
-    through 2*|states| + 5 terms, at every composite subexpression.
+    checked at every composite subexpression: the composed series must match
+    the DFA word counts through index max(deg num, deg den) + |states|, which
+    proves the two series equal.
     """
     if alphabet is None:
         alphabet = sorted(letters_of(e))
@@ -421,7 +405,9 @@ def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None,
 def _check_against_dfa(node: Regex, f: RationalFraction,
                        alphabet: Sequence[int]) -> None:
     dfa = regex_to_dfa(node, alphabet)
-    window = 2 * dfa.state_count() + 5
+    # DFA counts are P/Q with deg P < |states|, deg Q <= |states|, Q(0) = 1, so f - P/Q
+    # has a numerator of degree <= window: agreement through the window proves f = P/Q.
+    window = max(f.numerator.degree, f.denominator.degree) + dfa.state_count()
     expected = count_language(dfa, window)
     got = series_coefficients(f, window)
     if got != expected:
@@ -469,7 +455,7 @@ def rational_code_rate(code: RationalCode, cross_check_tol: float = 1e-8) -> Rat
     expr = code.expression
     f = generator_series(expr)
     dfa = regex_to_dfa(expr)
-    rho = spectral_radius(adjacency_matrix(dfa))
+    rho = spectral_radius(useful_successors(dfa))
     if f.denominator.degree == 0:
         # finite series: language growth is polynomial, no pole to invert
         return RationalRate(rho, math.log2(rho) if rho > 0 else float("-inf"),

@@ -121,8 +121,6 @@ def cmd_verify(args) -> int:
         a, b = violation
         payload["violation"] = [list(a), list(b)]
         lines.append(f"confusable pair: {_word_label(gs, a)} / {_word_label(gs, b)}")
-    if not exact:
-        lines.append("note: bounded-horizon check only")
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -239,6 +237,8 @@ def _envelope_functions(terms):
 
 
 def cmd_alpha(args) -> int:
+    if args.length < 1:
+        raise CliError("alpha needs --L of at least 1")
     g = _load_graph(args)
     try:
         prefix = automata.channel_series_prefix(g, args.length,
@@ -316,6 +316,13 @@ def cmd_dfa_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _length(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zecap",
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", help="built-in graph name or inline JSON")
         p.add_argument("--file", help="JSON code spec path")
         if length_default is not None:
-            p.add_argument("--L", dest="length", type=int, default=length_default,
+            p.add_argument("--L", dest="length", type=_length, default=length_default,
                            help="length cap")
 
     p = sub.add_parser("verify", help="check the zero-error property")
@@ -393,6 +400,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except varlen.NonUniquelyDecodableError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_VIOLATION
+    except (ValueError, ArithmeticError) as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .graphs import BudgetExceededError, Word
-from .numerics import spectral_radius
+from .numerics import count_walks, spectral_radius
 from .varlen import GeneratorSet
 
 State = tuple[int, ...]
@@ -90,13 +90,12 @@ def rule_from_json(data: dict) -> SuccessionRule:
 class TransitionGraph:
     """Directed multigraph over reachable transmission states.
 
-    Matrix entries count letter-labelled edges: two rule choices reaching the
-    same successor with different letters both count, since walk counts must
-    count emitted sequences rather than state paths.
+    Edges are letter-labelled: two rule choices reaching the same successor
+    with different letters are two edges, since walk counts must count
+    emitted sequences rather than state paths.
     """
 
     states: tuple[State, ...]
-    matrix: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, int, int], ...]  # (from, to, letter, word index)
 
     @property
@@ -105,6 +104,13 @@ class TransitionGraph:
 
     def state_count(self) -> int:
         return len(self.states)
+
+    def successors(self) -> list[list[int]]:
+        """Target of every edge, listed by source state."""
+        succ: list[list[int]] = [[] for _ in self.states]
+        for i, j, _letter, _wi in self.edges:
+            succ[i].append(j)
+        return succ
 
 
 def _advance(state: State, word_index: int, gs: GeneratorSet) -> tuple[State, int]:
@@ -117,16 +123,11 @@ def _advance(state: State, word_index: int, gs: GeneratorSet) -> tuple[State, in
 
 
 def build_transition_graph(gs: GeneratorSet, rule: SuccessionRule,
-                           reachable_only: bool = True,
                            state_budget: int = 10 ** 6) -> TransitionGraph:
     """Explore states from the all-zeros vector and record labelled edges."""
     if not gs.words:
         raise ValueError("need a non-empty generator set")
     zero: State = tuple(0 for _ in gs.words)
-    if not reachable_only:
-        total = math.prod(len(w) for w in gs.words)
-        if total > state_budget:
-            raise BudgetExceededError(f"{total} states exceed budget {state_budget}")
     index = {zero: 0}
     states = [zero]
     edges = []
@@ -142,45 +143,13 @@ def build_transition_graph(gs: GeneratorSet, rule: SuccessionRule,
                 states.append(nxt)
                 queue.append(nxt)
             edges.append((index[s], index[nxt], letter, wi))
-    if not reachable_only:
-        from itertools import product
-        for combo in product(*(range(len(w)) for w in gs.words)):
-            s = tuple(combo)
-            if s not in index:
-                index[s] = len(states)
-                states.append(s)
-                for wi in rule(s, gs):
-                    nxt, letter = _advance(s, wi, gs)
-                    if nxt not in index:
-                        index[nxt] = len(states)
-                        states.append(nxt)
-                    edges.append((index[s], index[nxt], letter, wi))
-    n = len(states)
-    matrix = [[0] * n for _ in range(n)]
-    for i, j, _letter, _wi in edges:
-        matrix[i][j] += 1
-    return TransitionGraph(tuple(states),
-                           tuple(tuple(row) for row in matrix),
-                           tuple(edges))
+    return TransitionGraph(tuple(states), tuple(edges))
 
 
 def count_sequences(tg: TransitionGraph, up_to: int) -> list[int]:
     """Closed-walk counts from the zero state, exact big integers."""
-    n = tg.state_count()
-    vec = [0] * n
-    vec[tg.zero_state_index] = 1
-    out = [1]
-    for _ in range(up_to):
-        nxt = [0] * n
-        for i, v in enumerate(vec):
-            if v:
-                row = tg.matrix[i]
-                for j, m in enumerate(row):
-                    if m:
-                        nxt[j] += v * m
-        vec = nxt
-        out.append(vec[tg.zero_state_index])
-    return out
+    zero = tg.zero_state_index
+    return count_walks(tg.successors(), zero, (zero,), up_to)
 
 
 @dataclass(frozen=True)
@@ -190,7 +159,7 @@ class IntermingledRate:
 
 
 def rate(tg: TransitionGraph) -> IntermingledRate:
-    nu = spectral_radius([list(row) for row in tg.matrix])
+    nu = spectral_radius(tg.successors())
     return IntermingledRate(nu, math.log2(nu) if nu > 0 else float("-inf"))
 
 
@@ -198,10 +167,10 @@ def rate(tg: TransitionGraph) -> IntermingledRate:
 class IntermingledVerifyResult:
     ok: bool
     violation: Optional[tuple[Word, Word]]
-    exact: bool  # False when only a bounded-horizon check ran
+    exact: bool  # always True: the search is exhaustive or raises
 
 
-def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule, horizon: int = 12,
+def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule,
                       product_state_budget: int = 250_000) -> IntermingledVerifyResult:
     """Search for two confusable distinct emitted sequences of equal length.
 
@@ -209,13 +178,11 @@ def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule, horizon: int = 12,
     "the emitted strings differ somewhere"; a step needs the two letters to be
     equal or adjacent in the channel graph.  Reaching both-closed with the
     flag set is a violation, and exhausting the finite product space proves
-    correctness for all lengths.  If the product space exceeds the budget, a
-    brute-force enumeration bounded by the horizon is used instead.
+    correctness for all lengths.  Only reachable product states are visited;
+    visiting more than ``product_state_budget`` raises BudgetExceededError.
     """
     tg = build_transition_graph(gs, rule)
     n = tg.state_count()
-    if 2 * n * n > product_state_budget:
-        return _verify_bounded(gs, tg, horizon)
     g = gs.graph
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, j, letter, _wi in tg.edges:
@@ -236,6 +203,9 @@ def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule, horizon: int = 12,
                     return IntermingledVerifyResult(
                         False, _reconstruct(parent, start, nxt), True)
                 if nxt not in seen:
+                    if len(seen) >= product_state_budget:
+                        raise BudgetExceededError(
+                            f"product state budget {product_state_budget} exceeded")
                     seen.add(nxt)
                     parent[nxt] = ((a, b, differ), la, lb)
                     queue.append(nxt)
@@ -253,25 +223,3 @@ def _reconstruct(parent, start, end) -> tuple[Word, Word]:
         node = prev
     return tuple(reversed(sa)), tuple(reversed(sb))
 
-
-def _verify_bounded(gs: GeneratorSet, tg: TransitionGraph,
-                    horizon: int) -> IntermingledVerifyResult:
-    g = gs.graph
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(tg.state_count())]
-    for i, j, letter, _wi in tg.edges:
-        succ[i].append((j, letter))
-    frontier: dict[int, set[Word]] = {tg.zero_state_index: {()}}
-    for _ in range(horizon):
-        nxt: dict[int, set[Word]] = {}
-        for state, seqs in frontier.items():
-            for j, letter in succ[state]:
-                bucket = nxt.setdefault(j, set())
-                for s in seqs:
-                    bucket.add(s + (letter,))
-        frontier = nxt
-        closed = sorted(frontier.get(tg.zero_state_index, ()))
-        for i, x in enumerate(closed):
-            for y in closed[i + 1:]:
-                if all(a == b or g.has_edge(a, b) for a, b in zip(x, y)):
-                    return IntermingledVerifyResult(False, (x, y), False)
-    return IntermingledVerifyResult(True, None, False)

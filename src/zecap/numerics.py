@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 BISECTION_TOL = 1e-12
 ABERTH_TOL = 1e-10
@@ -342,30 +343,55 @@ def smallest_modulus_root(p: IntPolynomial, tol: float = 1e-9) -> complex:
     return max(tied, key=lambda r: (r.real, r.imag))
 
 
-def spectral_radius(matrix: Sequence[Sequence[int]], tol: float = POWER_ITER_TOL,
-                    max_iter: int = 200_000) -> float:
-    """Largest eigenvalue modulus of a non-negative square integer matrix.
+def count_walks(successors: Sequence[Sequence[int]], start: int,
+                accepting: Iterable[int], up_to: int) -> list[int]:
+    """Walks of each length 0..up_to from ``start`` that end in ``accepting``.
 
-    Power iteration runs on M + I to break periodicity; 1 is subtracted at
-    the end.  Convergence is judged on the Rayleigh quotient.
+    ``successors[i]`` lists the target of each edge leaving state i, a target
+    repeated once per parallel edge.  Counts are exact big integers.
     """
-    n = len(matrix)
-    if n == 0:
+    n = len(successors)
+    accepting = list(accepting)
+    vec = [0] * n
+    vec[start] = 1
+    out = [sum(vec[s] for s in accepting)]
+    for _ in range(up_to):
+        nxt = [0] * n
+        for s, v in enumerate(vec):
+            if v:
+                for t in successors[s]:
+                    nxt[t] += v
+        vec = nxt
+        out.append(sum(vec[s] for s in accepting))
+    return out
+
+
+def spectral_radius(successors: Sequence[Sequence[int]], tol: float = POWER_ITER_TOL,
+                    max_iter: int = 200_000) -> float:
+    """Largest eigenvalue modulus of the adjacency matrix of a multigraph.
+
+    ``successors[i]`` lists the target of each edge leaving state i, a target
+    repeated once per parallel edge.  Power iteration runs on A + I to break
+    periodicity; 1 is subtracted at the end.  Convergence is judged on the
+    Rayleigh quotient.  Each row sums its (target, multiplicity) terms in
+    increasing target order with the +I shift merged into the diagonal term,
+    so the float is the same as a dense row-by-row product would give.
+    """
+    n = len(successors)
+    rows = []
+    for i, targets in enumerate(successors):
+        mult = Counter(targets)
+        if any(not 0 <= j < n for j in mult):
+            raise ValueError(f"state {i} has a successor outside 0..{n - 1}")
+        mult[i] += 1
+        rows.append([(j, float(mult[j])) for j in sorted(mult)])
+    if not any(successors):
         return 0.0
-    rows = [list(map(float, row)) for row in matrix]
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if any(c < 0 for r in rows for c in r):
-        raise ValueError("matrix entries must be non-negative")
-    if all(c == 0 for r in rows for c in r):
-        return 0.0
-    for i in range(n):
-        rows[i][i] += 1.0
     v = [1.0] * n
     prev = 0.0
     stable = 0
     for _ in range(max_iter):
-        w = [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
+        w = [sum([m * v[j] for j, m in row]) for row in rows]
         lam = sum(wi * vi for wi, vi in zip(w, v)) / sum(vi * vi for vi in v)
         norm = max(abs(x) for x in w)
         v = [x / norm for x in w]

@@ -165,7 +165,9 @@ def test_criterion_9_cross_method_consistency():
     for gs in (PENTAGON_SET, PRUNED_SET):
         poly = gs.characteristic_polynomial()
         root = unique_positive_root(poly)
-        rho = spectral_radius(CompanionMatrix.from_characteristic(poly).matrix())
+        matrix = CompanionMatrix.from_characteristic(poly).matrix()
+        rho = spectral_radius([[j for j, m in enumerate(row) for _ in range(m)]
+                               for row in matrix])
         ok &= abs(root - rho) < 1e-8
         details.append(f"{root:.8f}~{rho:.8f}")
     # the hub code: transition-graph radius vs series pole

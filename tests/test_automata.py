@@ -6,9 +6,9 @@ import pytest
 
 from zecap.automata import (AmbiguousExpressionError, Concat, Empty, Epsilon,
                             Letter, RationalCode, Star, Union,
-                            adjacency_matrix, channel_series_prefix,
-                            count_language, generator_series, parse_regex,
-                            rational_code_rate, regex_to_dfa)
+                            channel_series_prefix, count_language,
+                            generator_series, parse_regex, rational_code_rate,
+                            regex_to_dfa, useful_successors)
 from zecap.graphs import complete, cycle, graph_by_name, one_vertex
 from zecap.numerics import series_coefficients, spectral_radius
 
@@ -194,8 +194,17 @@ def test_rational_code_rate_agrees_with_spectral_radius():
     for text in cases:
         e = parse_regex(text)
         rr = rational_code_rate(RationalCode.from_expression(e))
-        rho = spectral_radius(adjacency_matrix(regex_to_dfa(e)))
+        rho = spectral_radius(useful_successors(regex_to_dfa(e)))
         assert rr.nu == pytest.approx(rho, abs=1e-8)
+
+
+def test_ambiguous_star_beyond_old_window():
+    # (0+0^20)* is 0*, not 1/(1-z-z^20); the two first differ at index 20
+    e = parse_regex("(0+" + "0" * 20 + ")*")
+    with pytest.raises(AmbiguousExpressionError):
+        generator_series(e)
+    with pytest.raises(AmbiguousExpressionError):
+        rational_code_rate(RationalCode.from_expression(e))
 
 
 def test_rational_code_length_gcd():

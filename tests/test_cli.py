@@ -199,3 +199,25 @@ def test_json_round_trip_of_code_spec(tmp_path, capsys):
                            "--words", "0,11,23,35,42,54", "--format", "json")
     _, out_file, _ = run(capsys, "rate", "--file", str(path), "--format", "json")
     assert json.loads(out_inline) == json.loads(out_file)
+
+
+
+AMBIGUOUS_STAR = "(0+" + "0" * 20 + ")*"  # 0*, not 1/(1-z-z^20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--regex", AMBIGUOUS_STAR, "--L", "25"],
+    ["rate", "--regex", AMBIGUOUS_STAR],
+    ["alpha", "--graph", "C5", "--L", "0"],
+    # X^2 - X - 5 needs two seed terms; --L 0 gives one
+    ["curve", "--graph", "C5+1", "--words", "0,11,23,35,42,54", "--overlay",
+     "--L", "0"],
+    ["count", "--graph", "C5+1", "--words", "0,11", "--L", "-1"],
+    ["series", "--regex", "(0+11)*", "--L", "-1"],
+], ids=["series-ambiguous-star", "rate-ambiguous-star", "alpha-L0",
+        "curve-overlay-short", "count-negative-L", "series-negative-L"])
+def test_rejected_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from zecap.graphs import graph_by_name
+from zecap.graphs import BudgetExceededError, graph_by_name
 from zecap.intermingled import (build_transition_graph, count_sequences,
                                 full_rule, rate, rule_from_json,
                                 single_open_rule, table_rule, varlen_rule,
@@ -29,18 +30,19 @@ def test_single_open_transition_graph_shape():
     # one closed state plus one open state per two-letter word
     assert tg.state_count() == 6
     assert tg.states[0] == (0,) * 6
-    closed_row = tg.matrix[0]
-    assert sum(closed_row) == 6
+    succ = tg.successors()
+    assert len(succ[0]) == 6
     # from any open state: finish the word or emit the hub letter
     for i in range(1, 6):
-        assert sum(tg.matrix[i]) == 2
+        assert len(succ[i]) == 2
 
 
 def test_single_open_matrix_is_golden():
     tg = build_transition_graph(PENTAGON_SET, single_open_rule(hub=0))
     open_states = sorted(range(1, 6), key=lambda i: tg.states[i])
     order = [0] + open_states
-    m = [[tg.matrix[a][b] for b in order] for a in order]
+    succ = tg.successors()
+    m = [[succ[a].count(b) for b in order] for a in order]
     expected = [
         [1, 1, 1, 1, 1, 1],
         [1, 1, 0, 0, 0, 0],
@@ -50,7 +52,8 @@ def test_single_open_matrix_is_golden():
         [1, 0, 0, 0, 0, 1],
     ]
     assert m == expected
-    assert spectral_radius(expected) == pytest.approx(1 + math.sqrt(5), abs=1e-9)
+    expected_succ = [[j for j, k in enumerate(row) for _ in range(k)] for row in expected]
+    assert spectral_radius(expected_succ) == pytest.approx(1 + math.sqrt(5), abs=1e-9)
 
 
 def test_single_open_rate_golden():
@@ -93,12 +96,30 @@ def test_verify_full_rule_fails():
         assert tg.zero_state_index in frontier
 
 
+def hub_cube():
+    """{0} with every concatenation of three pentagon hub words W."""
+    w = ["11", "23", "35", "42", "54"]
+    return GeneratorSet.from_strings(
+        C5P1, ["0"] + ["".join(p) for p in itertools.product(w, repeat=3)])
+
+
+def test_verify_hub_cube_is_exact():
+    # 626 states: the pair search covers every reachable product state
+    res = verify_zero_error(hub_cube(), single_open_rule(0))
+    assert res.ok and res.exact
+
+
+def test_verify_budget_exceeded():
+    with pytest.raises(BudgetExceededError):
+        verify_zero_error(hub_cube(), single_open_rule(0), product_state_budget=10)
+
+
 def test_table_rule_round_trip():
     rule = single_open_rule(hub=0)
     tg = build_transition_graph(PENTAGON_SET, rule)
     table = {s: rule(s, PENTAGON_SET) for s in tg.states}
     tg2 = build_transition_graph(PENTAGON_SET, table_rule(table))
-    assert tg2.matrix == tg.matrix
+    assert [sorted(s) for s in tg2.successors()] == [sorted(s) for s in tg.successors()]
     assert rate(tg2).nu == pytest.approx(rate(tg).nu, abs=1e-12)
 
 

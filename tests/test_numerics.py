@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zecap.numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
                             RationalFraction, aberth_roots, closed_form_counts,
-                            linear_recurrence_extend, polynomial_gcd,
+                            count_walks, linear_recurrence_extend, polynomial_gcd,
                             series_coefficients, smallest_modulus_root,
                             spectral_radius, unique_positive_root)
 
@@ -120,19 +122,24 @@ def test_smallest_modulus_root():
     assert r == pytest.approx((-1 + math.sqrt(5)) / 4, abs=1e-9)
 
 
+def successors_of(matrix):
+    """Successor lists of a non-negative integer matrix, one entry per unit."""
+    return [[j for j, m in enumerate(row) for _ in range(m)] for row in matrix]
+
+
 def test_spectral_radius_known():
-    assert spectral_radius([[2]]) == pytest.approx(2, abs=1e-9)
-    assert spectral_radius([[0, 1], [1, 0]]) == pytest.approx(1, abs=1e-9)
+    assert spectral_radius([[0, 0]]) == pytest.approx(2, abs=1e-9)
+    assert spectral_radius([[1], [0]]) == pytest.approx(1, abs=1e-9)
     # companion of X^2 - X - 5
-    assert spectral_radius([[0, 1], [5, 1]]) == pytest.approx(
+    assert spectral_radius(successors_of([[0, 1], [5, 1]])) == pytest.approx(
         (1 + math.sqrt(21)) / 2, abs=1e-9)
-    assert spectral_radius([[0, 0], [0, 0]]) == 0.0
+    assert spectral_radius([[], []]) == 0.0
     assert spectral_radius([]) == 0.0
 
 
 def test_spectral_radius_periodic_matrix():
     # plain power iteration would oscillate on this 2-cycle
-    m = [[0, 2], [8, 0]]
+    m = successors_of([[0, 2], [8, 0]])
     assert spectral_radius(m) == pytest.approx(4, abs=1e-9)
 
 
@@ -145,8 +152,72 @@ def test_companion_matrix():
     cm = CompanionMatrix.from_characteristic(P(-5, -1, 1))
     assert cm.matrix() == [[0, 1], [5, 1]]
     assert cm.recurrence_coefficients() == (1, 5)
-    assert spectral_radius(cm.matrix()) == pytest.approx(
+    assert spectral_radius(successors_of(cm.matrix())) == pytest.approx(
         unique_positive_root(P(-5, -1, 1)), abs=1e-9)
+
+
+@st.composite
+def multigraphs(draw):
+    """Successor lists of a random multigraph on 1..6 states."""
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
+
+
+def dense_spectral_radius(matrix, tol=1e-12, max_iter=200_000):
+    """Reference: power iteration on the dense matrix M + I, row by row."""
+    n = len(matrix)
+    rows = [list(map(float, row)) for row in matrix]
+    if all(c == 0 for r in rows for c in r):
+        return 0.0
+    for i in range(n):
+        rows[i][i] += 1.0
+    v = [1.0] * n
+    prev = 0.0
+    stable = 0
+    for _ in range(max_iter):
+        w = [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
+        lam = sum(wi * vi for wi, vi in zip(w, v)) / sum(vi * vi for vi in v)
+        norm = max(abs(x) for x in w)
+        v = [x / norm for x in w]
+        if abs(lam - prev) <= tol * max(1.0, abs(lam)):
+            stable += 1
+            if stable >= 3:
+                break
+        else:
+            stable = 0
+        prev = lam
+    return lam - 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.data())
+def test_count_walks_matches_enumeration(succ, data):
+    n = len(succ)
+    start = data.draw(st.integers(0, n - 1))
+    accepting = data.draw(st.sets(st.integers(0, n - 1)))
+    up_to = 6
+    brute = [0] * (up_to + 1)
+
+    def walk(state, length):
+        if state in accepting:
+            brute[length] += 1
+        if length < up_to:
+            for t in succ[state]:  # one branch per edge, parallel edges apart
+                walk(t, length + 1)
+
+    walk(start, 0)
+    assert count_walks(succ, start, accepting, up_to) == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_spectral_radius_matches_dense_reference(succ):
+    n = len(succ)
+    matrix = [[row.count(j) for j in range(n)] for row in succ]
+    # a short iteration cap keeps slowly converging (defective) cases quick;
+    # both sides run the same iterations, so the floats must be equal
+    assert spectral_radius(succ, max_iter=3000) == \
+        dense_spectral_radius(matrix, max_iter=3000)
 
 
 def test_linear_recurrence_extend():
