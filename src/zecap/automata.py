@@ -243,18 +243,22 @@ def regex_to_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Dfa:
     alphabet = tuple(alphabet)
     eps, moves, nstart, naccept = _thompson_nfa(e, alphabet)
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        out = set(states)
+    # A subset is kept as its states with letter moves, plus the accepting
+    # state: the others change neither its moves nor its acceptance.  Only
+    # the start and the targets of letter moves need their ε-closures.
+    kernel = [bool(moves[s]) or s == naccept for s in range(len(eps))]
+    closures = {}
+    for s0 in {nstart}.union(*(t for m in moves for t in m.values())):
+        seen = {s0}
+        stack = [s0]
         while stack:
-            s = stack.pop()
-            for t in eps[s]:
-                if t not in out:
-                    out.add(t)
+            for t in eps[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
                     stack.append(t)
-        return frozenset(out)
+        closures[s0] = frozenset(t for t in seen if kernel[t])
 
-    start_set = closure(frozenset([nstart]))
+    start_set = closures[nstart]
     index = {start_set: 0}
     subsets = [start_set]
     table: list[list[int]] = []
@@ -266,8 +270,9 @@ def regex_to_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Dfa:
         for a in alphabet:
             nxt = set()
             for s in cur:
-                nxt |= moves[s].get(a, set())
-            nxt = closure(frozenset(nxt))
+                for t in moves[s].get(a, ()):
+                    nxt |= closures[t]
+            nxt = frozenset(nxt)
             if nxt not in index:
                 index[nxt] = len(subsets)
                 subsets.append(nxt)
@@ -364,19 +369,18 @@ def useful_successors(dfa: Dfa) -> list[list[int]]:
     return [[idx[t] for t in dfa.transitions[s] if t in idx] for s in keep]
 
 
-def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None,
-                     validate: bool = True) -> RationalFraction:
+def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None) -> RationalFraction:
     """Counting series of L(e) by the recursive composition rules.
 
-    The disjointness hypotheses behind union, concatenation and star are
-    checked at every composite subexpression: the composed series must match
-    the DFA word counts through index max(deg num, deg den) + |states|, which
-    proves the two series equal.
+    The composed series is proven equal to the word counts of e once, at the
+    root, against a DFA of e (see _check_against_dfa).  Subexpressions are
+    checked one by one, in post-order, only to name the first one whose
+    union, concatenation or star is ambiguous, or when e contains #.
     """
     if alphabet is None:
         alphabet = sorted(letters_of(e))
 
-    def compose(node: Regex) -> RationalFraction:
+    def compose(node: Regex, check_each: bool) -> RationalFraction:
         if isinstance(node, Empty):
             return RationalFraction.from_int(0)
         if isinstance(node, Epsilon):
@@ -384,22 +388,38 @@ def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None,
         if isinstance(node, Letter):
             return RationalFraction.z()
         if isinstance(node, Union):
-            f = compose(node.left) + compose(node.right)
+            f = compose(node.left, check_each) + compose(node.right, check_each)
         elif isinstance(node, Concat):
-            f = compose(node.left) * compose(node.right)
+            f = compose(node.left, check_each) * compose(node.right, check_each)
         elif isinstance(node, Star):
-            inner = compose(node.inner)
+            inner = compose(node.inner, check_each)
             if inner.value_at_zero() != 0:
                 raise AmbiguousExpressionError(
                     "starred language contains the empty word", node)
             f = inner.star()
         else:
             raise TypeError(f"not a regex node: {node!r}")
-        if validate:
+        if check_each:
             _check_against_dfa(node, f, alphabet)
         return f
 
-    return compose(e)
+    # One check at the root suffices.  Let s be the composed series and c the
+    # word counts; both have nonnegative coefficients.  By induction s >= c
+    # coefficient-wise at every node: c(F+G) <= c(F)+c(G), c(FG) <= c(F)c(G)
+    # and c(F*) <= sum_k c(F)^k, and the rules compose s with the same
+    # monotone operations.  So s = c at the root forces equality in every
+    # step, hence s(F) = c(F) at every subexpression F, provided no language
+    # is empty: c(G) = 0 makes c(FG) = 0 whatever F is.  A language can be
+    # empty only if e contains # (printed only for Empty); then every
+    # subexpression is checked.
+    if "#" not in str(e):
+        try:
+            f = compose(e, False)
+            _check_against_dfa(e, f, alphabet)
+            return f
+        except AmbiguousExpressionError:
+            pass  # redo with every check, to name the first failing node
+    return compose(e, True)
 
 
 def _check_against_dfa(node: Regex, f: RationalFraction,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -12,7 +13,7 @@ from .numerics import IntPolynomial, unique_positive_root
 
 
 class NonUniquelyDecodableError(Exception):
-    """Concatenation counts by recurrence disagree with distinct-word counts."""
+    """Some word is a concatenation of generator words in two ways."""
 
 
 @dataclass(frozen=True)
@@ -98,21 +99,54 @@ def count_concatenations(gs: GeneratorSet, up_to: int,
                          check_unique: bool = True) -> list[int]:
     """#C*_[L] for L = 0..up_to by the length-histogram linear recurrence.
 
-    The recurrence counts factorization paths; for a zero-error generator set
-    these coincide with distinct words.  We cross-check against deduplicated
-    enumeration up to L = 8 and reject silently overcounting sets.
+    The recurrence counts factorizations; they are distinct words exactly
+    when the set is uniquely decodable, which check_unique proves first.
     """
+    if check_unique:
+        _require_uniquely_decodable(gs)
     hist = gs.length_histogram()
     counts = [1]
     for L in range(1, up_to + 1):
         counts.append(sum(cnt * counts[L - l] for l, cnt in hist.items() if l <= L))
-    if check_unique and gs.words:
-        limit = min(up_to, 8)
-        for L in range(1, limit + 1):
-            if counts[L] != len(_distinct_concatenations(gs, L)):
-                raise NonUniquelyDecodableError(
-                    f"generator set is not uniquely decodable at length {L}")
     return counts
+
+
+def two_factorizations(gs: GeneratorSet) -> Optional[tuple[tuple[Word, ...], tuple[Word, ...]]]:
+    """Two distinct factorizations of one word over gs, or None if gs is a code.
+
+    Sardinas-Patterson: a dangling suffix s is what one factorization
+    (longer) spells beyond another (shorter).  Each generator word u starts
+    one against the empty factorization; a word w extends the shorter side
+    to a new dangling suffix (w = st, or s = wt).  The set is not uniquely
+    decodable exactly when a dangling suffix of two nonempty factorizations
+    is a generator word.  Suffixes of generator words are finitely many, so
+    the breadth-first search ends.
+    """
+    words = set(gs.words)
+    seen: set[Word] = set()
+    queue = deque((u, (u,), ()) for u in gs.words)
+    while queue:
+        s, longer, shorter = queue.popleft()
+        if shorter and s in words:
+            return longer, shorter + (s,)
+        if s in seen:
+            continue
+        seen.add(s)
+        for w in gs.words:
+            if len(w) > len(s) and w[:len(s)] == s:
+                queue.append((w[len(s):], shorter + (w,), longer))
+            elif len(w) < len(s) and s[:len(w)] == w:
+                queue.append((s[len(w):], longer, shorter + (w,)))
+    return None
+
+
+def _require_uniquely_decodable(gs: GeneratorSet) -> None:
+    """Raise NonUniquelyDecodableError, naming a word with two factorizations."""
+    pair = two_factorizations(gs)
+    if pair is not None:
+        a, b = (".".join("".join(gs.graph.labels[x] for x in w) for w in p) for p in pair)
+        raise NonUniquelyDecodableError(
+            f"generator set is not uniquely decodable: {a} = {b}")
 
 
 def _distinct_concatenations(gs: GeneratorSet, length: int) -> list[Word]:
@@ -145,8 +179,10 @@ def rate(gs: GeneratorSet) -> RateResult:
     """Average symbols per channel use as the characteristic polynomial root.
 
     When the word-length gcd d is not 1 the value is read along multiples of
-    d; the root of the polynomial is unchanged.
+    d; the root of the polynomial is unchanged.  The root is the rate only
+    for a uniquely decodable set; any other is rejected.
     """
+    _require_uniquely_decodable(gs)
     poly = gs.characteristic_polynomial()
     nu = unique_positive_root(poly)
     return RateResult(nu, math.log2(nu), poly)

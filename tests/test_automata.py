@@ -1,16 +1,20 @@
 import itertools
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zecap.automata
 from zecap.automata import (AmbiguousExpressionError, Concat, Empty, Epsilon,
                             Letter, RationalCode, Star, Union,
                             channel_series_prefix, count_language,
-                            generator_series, parse_regex, rational_code_rate,
-                            regex_to_dfa, useful_successors)
+                            generator_series, letters_of, parse_regex,
+                            rational_code_rate, regex_to_dfa, useful_successors)
 from zecap.graphs import complete, cycle, graph_by_name, one_vertex
-from zecap.numerics import series_coefficients, spectral_radius
+from zecap.numerics import RationalFraction, series_coefficients, spectral_radius
 
 HUB_REGEX = "(0+1(0)*1+2(0)*3+3(0)*5+4(0)*2+5(0)*4)*"
 
@@ -235,3 +239,127 @@ def test_channel_series_roots_nondecreasing_by_fekete():
         r1 = prefix.terms[1]
         r2 = prefix.terms[2] ** 0.5
         assert r2 >= r1 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# One series check per expression, and the DFA construction behind it
+
+expressions = st.recursive(
+    st.sampled_from([Letter(0), Letter(1), Epsilon(), Empty()]),
+    lambda inner: st.one_of(st.builds(Union, inner, inner),
+                            st.builds(Concat, inner, inner),
+                            st.builds(Star, inner)),
+    max_leaves=5)
+
+
+def per_subexpression_series(e):
+    """Reference: compose the series and check it at every composite node."""
+    alphabet = sorted(letters_of(e))
+
+    def compose(node):
+        if isinstance(node, Empty):
+            return RationalFraction.from_int(0)
+        if isinstance(node, Epsilon):
+            return RationalFraction.from_int(1)
+        if isinstance(node, Letter):
+            return RationalFraction.z()
+        if isinstance(node, Union):
+            f = compose(node.left) + compose(node.right)
+        elif isinstance(node, Concat):
+            f = compose(node.left) * compose(node.right)
+        else:
+            inner = compose(node.inner)
+            if inner.value_at_zero() != 0:
+                raise AmbiguousExpressionError(
+                    "starred language contains the empty word", node)
+            f = inner.star()
+        dfa = regex_to_dfa(node, alphabet)
+        window = max(f.numerator.degree, f.denominator.degree) + dfa.state_count()
+        if series_coefficients(f, window) != count_language(dfa, window):
+            raise AmbiguousExpressionError(
+                "series composition disagrees with word counts", node)
+        return f
+
+    return compose(e)
+
+
+def outcome(fn, e):
+    try:
+        return fn(e)
+    except AmbiguousExpressionError as ex:
+        return str(ex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions)
+def test_series_checked_at_root_matches_per_subexpression_checks(e):
+    assert outcome(generator_series, e) == outcome(per_subexpression_series, e)
+
+
+def python_pattern(node):
+    if isinstance(node, Empty):
+        return "(?!)"
+    if isinstance(node, Epsilon):
+        return ""
+    if isinstance(node, Letter):
+        return str(node.symbol)
+    if isinstance(node, Union):
+        return f"(?:{python_pattern(node.left)}|{python_pattern(node.right)})"
+    if isinstance(node, Concat):
+        return python_pattern(node.left) + python_pattern(node.right)
+    return f"(?:{python_pattern(node.inner)})*"
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_dfa_accepts_what_python_re_matches(e):
+    dfa = regex_to_dfa(e, alphabet=[0, 1])
+    pattern = re.compile(python_pattern(e))
+    for n in range(7):
+        for w in words_over((0, 1), n):
+            text = "".join(map(str, w))
+            assert dfa.accepts(w) == (pattern.fullmatch(text) is not None), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_dfa_states_are_numbered_breadth_first(e):
+    dfa = regex_to_dfa(e, alphabet=[0, 1])
+    order = [dfa.start]
+    for s in order:
+        for t in dfa.transitions[s]:  # letters in sorted order
+            if t not in order:
+                order.append(t)
+    n = dfa.state_count()
+    assert order == list(range(len(order)))
+    if len(order) < n:  # an added sink, unreachable, comes last
+        assert len(order) == n - 1 and dfa.sink == n - 1
+    # minimal: Moore refinement separates every state
+    block = [s in dfa.accepting for s in range(n)]
+    while True:
+        sigs = [(block[s],) + tuple(block[t] for t in dfa.transitions[s])
+                for s in range(n)]
+        refined = [sorted(set(sigs)).index(sig) for sig in sigs]
+        if len(set(refined)) == len(set(block)):
+            break
+        block = refined
+    assert len(set(block)) == n
+
+
+def test_series_of_unambiguous_expression_builds_one_dfa(monkeypatch):
+    calls = []
+
+    def counting(e, alphabet=None):
+        calls.append(str(e))
+        return regex_to_dfa(e, alphabet)
+
+    monkeypatch.setattr(zecap.automata, "regex_to_dfa", counting)
+    generator_series(parse_regex(HUB_REGEX))
+    assert calls == [str(parse_regex(HUB_REGEX))]
+
+
+@pytest.mark.parametrize("text", ["(0+0)#", "((0+0)#)*"])
+def test_ambiguity_under_empty_language_is_named(text):
+    with pytest.raises(AmbiguousExpressionError) as info:
+        generator_series(parse_regex(text))
+    assert str(info.value.subexpression) == "(0+0)"

@@ -221,3 +221,14 @@ def test_rejected_input_is_a_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--graph", "C5+1", "--words", "0,000000000", "--L", "10"],
+    ["rate", "--graph", "C5+1", "--words", "0,000000000"],
+], ids=["count", "rate"])
+def test_not_uniquely_decodable_set_is_a_violation(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "not uniquely decodable" in err

@@ -2,11 +2,13 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zecap.graphs import cycle, distinguishable, graph_by_name
 from zecap.varlen import (GeneratorSet, NonUniquelyDecodableError,
                           count_concatenations, enumerate_codewords, rate,
-                          verify_zero_error)
+                          two_factorizations, verify_zero_error)
 
 C5P1 = graph_by_name("C5+1")
 
@@ -144,3 +146,42 @@ def test_root_convergence_to_rate():
     errs = [abs(counts[L] ** (1 / L) - nu) for L in range(20, 61)]
     assert errs[-1] < errs[0]
     assert errs[-1] < 0.05
+
+
+def test_ambiguity_beyond_old_window_is_rejected():
+    # 0 and 0^9: 0^9 has two factorizations, first at length 9
+    bad = gen(["0", "000000000"])
+    with pytest.raises(NonUniquelyDecodableError):
+        count_concatenations(bad, 10)
+    with pytest.raises(NonUniquelyDecodableError):
+        rate(bad)
+
+
+def factorization_count(gs, word):
+    ways = [1] + [0] * len(word)
+    for i in range(1, len(word) + 1):
+        ways[i] = sum(ways[i - len(w)] for w in gs.words
+                      if len(w) <= i and word[i - len(w):i] == w)
+    return ways[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.text("01", min_size=1, max_size=4), min_size=1, max_size=5))
+def test_two_factorizations_matches_brute_force(words):
+    gs = gen(sorted(words))
+    pair = two_factorizations(gs)
+    if pair is None:
+        # factorizations (the recurrence) and distinct words agree
+        counts = count_concatenations(gs, 9)
+        for L in range(10):
+            assert counts[L] == len(enumerate_codewords(gs, L))
+        assert rate(gs).nu > 0
+    else:
+        a, b = pair
+        assert a != b and sum(a, ()) == sum(b, ())
+        assert all(w in gs.words for w in a + b)
+        assert factorization_count(gs, sum(a, ())) >= 2
+        with pytest.raises(NonUniquelyDecodableError):
+            count_concatenations(gs, 0)
+        with pytest.raises(NonUniquelyDecodableError):
+            rate(gs)
