@@ -4,8 +4,9 @@ from .graphs import (BudgetExceededError, ChannelGraph, IndependenceResult,
                      complete, cycle, cycle_power_symmetries,
                      cycle_product_independence, disjoint_union,
                      distinguishable, graph_by_name, independence_number,
-                     induced_subgraph, is_automorphism, one_vertex, path,
-                     strong_power, strong_product, zero_graph)
+                     induced_subgraph, is_automorphism, lift_automorphisms,
+                     one_vertex, path, strong_power, strong_product,
+                     transitive_automorphisms, zero_graph)
 from .numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
                        RationalFraction, aberth_roots, closed_form_counts,
                        count_walks, linear_recurrence_extend, polynomial_gcd,
@@ -45,11 +46,12 @@ __all__ = [
     "enumerate_codewords", "full_rule", "generator_series",
     "generator_set_rate", "graph_by_name", "independence_number",
     "induced_subgraph", "intermingled_rate", "is_automorphism",
-    "linear_recurrence_extend", "one_vertex",
+    "lift_automorphisms", "linear_recurrence_extend", "one_vertex",
     "parse_regex", "path", "polynomial_gcd", "rational_code_rate",
     "regex_to_dfa", "rule_from_json", "series_coefficients",
     "single_open_rule", "smallest_modulus_root", "spectral_radius",
-    "strong_power", "strong_product", "table_rule", "unique_positive_root",
+    "strong_power", "strong_product", "table_rule",
+    "transitive_automorphisms", "unique_positive_root",
     "useful_successors", "varlen_rule", "verify_generator_set",
     "verify_intermingled", "zero_graph",
 ]

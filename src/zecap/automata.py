@@ -8,7 +8,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union as TyUnion
 
-from .graphs import ChannelGraph, independence_number, strong_power
+from .graphs import (ChannelGraph, _alpha_by_transitivity, _check_power_size,
+                     independence_number, lift_automorphisms, strong_product,
+                     transitive_automorphisms)
 from .numerics import (IntPolynomial, RationalFraction, count_walks,
                        series_coefficients, smallest_modulus_root,
                        spectral_radius)
@@ -377,6 +379,13 @@ def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Rati
     checked one by one, in post-order, only to name the first one whose
     union, concatenation or star is ambiguous, or when e contains #.
     """
+    return _series_and_dfa(e, alphabet)[0]
+
+
+def _series_and_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None
+                    ) -> tuple[RationalFraction, Optional[Dfa]]:
+    """generator_series, with the DFA of e that proved it at the root (None
+    when the series came from the per-subexpression checks)."""
     if alphabet is None:
         alphabet = sorted(letters_of(e))
 
@@ -400,7 +409,7 @@ def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Rati
         else:
             raise TypeError(f"not a regex node: {node!r}")
         if check_each:
-            _check_against_dfa(node, f, alphabet)
+            _check_against_dfa(node, f, regex_to_dfa(node, alphabet))
         return f
 
     # One check at the root suffices.  Let s be the composed series and c the
@@ -415,16 +424,15 @@ def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Rati
     if "#" not in str(e):
         try:
             f = compose(e, False)
-            _check_against_dfa(e, f, alphabet)
-            return f
+            dfa = regex_to_dfa(e, alphabet)
+            _check_against_dfa(e, f, dfa)
+            return f, dfa
         except AmbiguousExpressionError:
             pass  # redo with every check, to name the first failing node
-    return compose(e, True)
+    return compose(e, True), None
 
 
-def _check_against_dfa(node: Regex, f: RationalFraction,
-                       alphabet: Sequence[int]) -> None:
-    dfa = regex_to_dfa(node, alphabet)
+def _check_against_dfa(node: Regex, f: RationalFraction, dfa: Dfa) -> None:
     # DFA counts are P/Q with deg P < |states|, deg Q <= |states|, Q(0) = 1, so f - P/Q
     # has a numerator of degree <= window: agreement through the window proves f = P/Q.
     window = max(f.numerator.degree, f.denominator.degree) + dfa.state_count()
@@ -473,8 +481,9 @@ class RationalRate:
 def rational_code_rate(code: RationalCode, cross_check_tol: float = 1e-8) -> RationalRate:
     """Rate from the smallest-modulus pole, cross-checked on the DFA spectrum."""
     expr = code.expression
-    f = generator_series(expr)
-    dfa = regex_to_dfa(expr)
+    f, dfa = _series_and_dfa(expr)
+    if dfa is None:
+        dfa = regex_to_dfa(expr)
     rho = spectral_radius(useful_successors(dfa))
     if f.denominator.degree == 0:
         # finite series: language growth is polynomial, no pole to invert
@@ -504,12 +513,26 @@ class ChannelSeriesPrefix:
 def channel_series_prefix(g: ChannelGraph, up_to: int,
                           node_budget: int = 10 ** 8,
                           max_vertices: int = 1_000_000) -> ChannelSeriesPrefix:
-    """alpha(G^boxtimes l) for l = 0..up_to; term 0 is 1 by the empty product."""
+    """alpha(G^boxtimes l) for l = 0..up_to; term 0 is 1 by the empty product.
+
+    Each power is the product of the one before with G.  When automorphisms
+    of G act transitively on its vertices, their lifts act transitively on
+    every power; they are automorphisms by construction, so the search fixes
+    vertex 0 without checking them again on the power.
+    """
+    perms = transitive_automorphisms(g)
     terms = [1]
     exact = [True]
+    power = g
     for l in range(1, up_to + 1):
-        power = strong_power(g, l, max_vertices=max_vertices)
-        res = independence_number(power, node_budget=node_budget)
+        _check_power_size(g, l, max_vertices)
+        if l > 1:
+            power = strong_product(power, g)
+        if perms:  # empty for graphs of at most one vertex
+            res = _alpha_by_transitivity(power, lift_automorphisms(perms, l),
+                                         node_budget, None)
+        else:
+            res = independence_number(power, node_budget=node_budget)
         terms.append(res.alpha)
         exact.append(res.exact)
     return ChannelSeriesPrefix(tuple(terms), tuple(exact))

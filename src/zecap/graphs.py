@@ -141,49 +141,64 @@ def strong_product(g: ChannelGraph, h: ChannelGraph) -> ChannelGraph:
     reproducible.
     """
     nh = h.vertex_count
-    labels = [f"{a},{b}" for a in g.labels for b in h.labels]
-    edges = []
-    for v1 in range(g.vertex_count):
-        g_close = g.neighbor_masks[v1] | (1 << v1)
-        for w1 in range(nh):
-            i = v1 * nh + w1
-            h_close = h.neighbor_masks[w1] | (1 << w1)
-            m = g_close
-            while m:
-                lsb = m & -m
-                v2 = lsb.bit_length() - 1
-                m ^= lsb
-                mh = h_close
-                while mh:
-                    lsb2 = mh & -mh
-                    w2 = lsb2.bit_length() - 1
-                    mh ^= lsb2
-                    j = v2 * nh + w2
-                    if j > i:
-                        edges.append((i, j))
-    return ChannelGraph.from_edges(labels, edges)
+    labels = tuple(f"{a},{b}" for a in g.labels for b in h.labels)
+    if len(set(labels)) != len(labels):  # labels with commas can collide
+        raise ValueError("vertex labels must be unique")
+    h_closed = [m | 1 << w for w, m in enumerate(h.neighbor_masks)]
+    masks = []
+    for v, m in enumerate(g.neighbor_masks):
+        # one bit at the start of the block of each v2 adjacent-or-equal to v;
+        # times a closed h-neighbourhood (< 2**nh) it fills those blocks
+        blocks = 0
+        m |= 1 << v
+        while m:
+            lsb = m & -m
+            blocks |= 1 << (nh * (lsb.bit_length() - 1))
+            m ^= lsb
+        masks.extend((blocks * hc) ^ (1 << (v * nh + w))
+                     for w, hc in enumerate(h_closed))
+    return ChannelGraph(labels, tuple(masks))
 
 
 def strong_power(g: ChannelGraph, l: int, max_vertices: int = 1_000_000) -> ChannelGraph:
     """l-fold iterated strong product of g with itself."""
     if l < 1:
         raise ValueError("strong power exponent must be >= 1")
-    if g.vertex_count ** l > max_vertices:
-        raise BudgetExceededError(
-            f"strong power has {g.vertex_count ** l} vertices, budget is {max_vertices}")
+    _check_power_size(g, l, max_vertices)
     out = g
     for _ in range(l - 1):
         out = strong_product(out, g)
     return out
 
 
+def _check_power_size(g: ChannelGraph, l: int, max_vertices: int) -> None:
+    if g.vertex_count ** l > max_vertices:
+        raise BudgetExceededError(
+            f"strong power has {g.vertex_count ** l} vertices, budget is {max_vertices}")
+
+
 def induced_subgraph(g: ChannelGraph, keep: Sequence[int]) -> tuple[ChannelGraph, list[int]]:
     """Subgraph on the given vertices; returns it with the old-index list."""
     keep = sorted(set(int(v) for v in keep))
-    idx = {v: i for i, v in enumerate(keep)}
-    edges = [(idx[u], idx[v]) for u, v in g.edges() if u in idx and v in idx]
-    labels = [g.labels[v] for v in keep]
-    return ChannelGraph.from_edges(labels, edges), keep
+    if keep and not (0 <= keep[0] and keep[-1] < g.vertex_count):
+        raise ValueError(f"vertex out of range for {g.vertex_count} vertices")
+    # maximal runs of consecutive kept vertices, as (old start, new start,
+    # length); each run moves as one shifted slice of a neighbour mask
+    runs: list[list[int]] = []
+    for i, v in enumerate(keep):
+        if runs and runs[-1][0] + runs[-1][2] == v:
+            runs[-1][2] += 1
+        else:
+            runs.append([v, i, 1])
+    slices = [(old, new, (1 << length) - 1) for old, new, length in runs]
+    masks = []
+    for v in keep:
+        m = g.neighbor_masks[v]
+        out = 0
+        for old, new, width in slices:
+            out |= (m >> old & width) << new
+        masks.append(out)
+    return ChannelGraph(tuple(g.labels[v] for v in keep), tuple(masks)), keep
 
 
 def is_automorphism(g: ChannelGraph, perm: Sequence[int]) -> bool:
@@ -203,6 +218,25 @@ def is_automorphism(g: ChannelGraph, perm: Sequence[int]) -> bool:
     return True
 
 
+def lift_automorphisms(perms: Sequence[Sequence[int]], l: int) -> list[tuple[int, ...]]:
+    """Automorphisms of the l-th strong power from automorphisms of its factor.
+
+    Each factor automorphism is applied to one coordinate at a time (base-n
+    digits of the row-major index, as strong_power numbers them), which
+    preserves adjacency-or-equality in every coordinate.  When the factor
+    automorphisms act transitively on the factor, the lifts act transitively
+    on the power.
+    """
+    out = []
+    for coord in range(l):
+        for p in perms:
+            n = len(p)
+            stride = n ** (l - 1 - coord)
+            out.append(tuple(v + stride * (p[v // stride % n] - v // stride % n)
+                             for v in range(n ** l)))
+    return out
+
+
 def cycle_power_symmetries(n: int, l: int) -> list[tuple[int, ...]]:
     """Coordinate-rotation automorphisms of strong_power(cycle(n), l).
 
@@ -210,16 +244,119 @@ def cycle_power_symmetries(n: int, l: int) -> list[tuple[int, ...]]:
     vertex set (every digit tuple reaches every other), which licenses the
     symmetry reduction in independence_number.
     """
-    total = n ** l
-    out = []
-    for coord in range(l):
-        stride = n ** (l - 1 - coord)
-        perm = []
-        for v in range(total):
-            digit = (v // stride) % n
-            perm.append(v + stride * (((digit + 1) % n) - digit))
-        out.append(tuple(perm))
-    return out
+    return lift_automorphisms([tuple((v + 1) % n for v in range(n))], l)
+
+
+# at most about 0.3 s on a 2-core x86 VM under Python 3.11; a factor the
+# search cannot decide in that many assignments gets the plain search
+_AUTOMORPHISM_STEPS = 20_000
+
+
+def transitive_automorphisms(g: ChannelGraph) -> Optional[list[tuple[int, ...]]]:
+    """Automorphisms of g that act transitively on its vertices, or None.
+
+    For each vertex t not yet in the orbit of vertex 0, a backtracking search
+    looks for an automorphism taking 0 to t.  It assigns images in
+    breadth-first order and keeps only images of the same degree whose
+    adjacency to every assigned image matches.  None means g is not
+    vertex-transitive, or the search made _AUTOMORPHISM_STEPS assignments
+    without deciding; either way callers fall back to a search without
+    symmetry.
+    """
+    n = g.vertex_count
+    masks = g.neighbor_masks
+    # breadth-first, one component after another, so that most vertices are
+    # adjacent to one assigned before them, which narrows their images
+    order: list[int] = []
+    placed = 0
+    for root in range(n):
+        if placed >> root & 1:
+            continue
+        placed |= 1 << root
+        order.append(root)
+        i = len(order) - 1
+        while i < len(order):
+            m = masks[order[i]] & ~placed
+            placed |= m
+            while m:
+                lsb = m & -m
+                order.append(lsb.bit_length() - 1)
+                m ^= lsb
+            i += 1
+    position = {v: i for i, v in enumerate(order)}
+    steps = 0
+
+    def image_of_order(t: int) -> Optional[list[int]]:
+        nonlocal steps
+        image: list[int] = []
+        used = 0
+        # per position: untried images, and the images of its neighbours
+        # assigned before it (a valid image has the same degree and is
+        # adjacent to exactly those among the images used so far)
+        untried = [[1 << t, 0]]
+        while untried:
+            cand, want = untried[-1]
+            if not cand:
+                untried.pop()
+                if image:
+                    used ^= 1 << image.pop()
+                continue
+            lsb = cand & -cand
+            untried[-1][0] ^= lsb
+            w = lsb.bit_length() - 1
+            u = order[len(image)]
+            if masks[w] & used != want or masks[w].bit_count() != masks[u].bit_count():
+                continue
+            steps += 1
+            if steps > _AUTOMORPHISM_STEPS:
+                return None
+            image.append(w)
+            used |= lsb
+            if len(image) == n:
+                return image
+            cand = ((1 << n) - 1) & ~used
+            want = 0
+            m = masks[order[len(image)]]
+            while m:
+                lsb = m & -m
+                m ^= lsb
+                i = position[lsb.bit_length() - 1]
+                if i < len(image):
+                    want |= 1 << image[i]
+                    cand &= masks[image[i]]
+            untried.append([cand, want])
+        return None
+
+    perms: list[tuple[int, ...]] = []
+    orbit = {0}
+    for t in range(n):
+        if t in orbit:
+            continue
+        image = image_of_order(t)
+        if image is None:
+            return None
+        perm = [0] * n
+        for x, y in zip(order, image):
+            perm[x] = y
+        if not is_automorphism(g, perm):
+            raise AssertionError("automorphism search built a non-automorphism")
+        perms.append(tuple(perm))
+        orbit = _orbit(perms, 0)
+    return perms
+
+
+def _orbit(perms: Sequence[Sequence[int]], v: int) -> dict:
+    """Breadth-first orbit of v; each reached w maps to (u, p) with p[u] = w."""
+    reach = {v: None}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for p in perms:
+            w = p[u]
+            if w not in reach:
+                reach[w] = (u, p)
+                queue.append(w)
+    return reach
 
 
 def distinguishable(g: ChannelGraph, a: Sequence[int], b: Sequence[int]) -> bool:
@@ -262,33 +399,27 @@ def _greedy_independent_set(masks: Sequence[int], n: int) -> list[int]:
 
 
 def _clique_cover(masks: Sequence[int], cand: int) -> list[tuple[int, int]]:
-    """Greedy partition of the candidate set into cliques.
+    """Greedy partition of the candidate set into cliques, one class at a time.
 
-    Returns (vertex, class_number) in processing order; a vertex in class k
+    Each class takes the lowest remaining candidate, then again and again the
+    lowest candidate adjacent to all members so far (``q &= masks[v]``).  That
+    is the partition a scan in increasing vertex order gives when it puts each
+    vertex into the first class whose members are all its neighbours.
+    Returns (vertex, class_number) in class order; a vertex in class k
     certifies that once only classes 1..k remain, at most k independent
     vertices can still be picked.
     """
-    classes: list[int] = []
-    members: list[list[int]] = []
-    m = cand
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
-        m ^= lsb
-        placed = False
-        for idx, cmask in enumerate(classes):
-            if cmask & ~masks[v] == 0:  # v adjacent to the whole clique
-                classes[idx] |= lsb
-                members[idx].append(v)
-                placed = True
-                break
-        if not placed:
-            classes.append(lsb)
-            members.append([v])
     order = []
-    for k, verts in enumerate(members, start=1):
-        for v in verts:
+    k = 0
+    while cand:
+        k += 1
+        q = cand
+        while q:
+            lsb = q & -q
+            v = lsb.bit_length() - 1
             order.append((v, k))
+            cand ^= lsb
+            q &= masks[v]
     return order
 
 
@@ -296,28 +427,17 @@ class _Budget(Exception):
     pass
 
 
-def _compiled_available() -> bool:
-    try:
-        from . import _fastmis
-    except ImportError:
-        return False
-    return _fastmis.HAVE_NUMBA
-
-
 def independence_number(g: ChannelGraph,
                         node_budget: int = 10 ** 8,
                         seed_witness: Optional[Sequence[int]] = None,
                         lexmin_max_vertices: int = 100,
-                        use_compiled: Optional[bool] = None,
                         transitive_symmetries: Optional[Sequence[Sequence[int]]] = None) -> IndependenceResult:
     """Exact maximum independent set by branch-and-bound with bitset masks.
 
     The bound is a greedy clique cover of the candidate set.  On budget
     exhaustion the best incumbent is returned with ``exact=False``.  For small
     graphs (``lexmin_max_vertices``) the witness is refined to the
-    lexicographically least maximum independent set.  Large searches run on a
-    compiled kernel when numba is installed; ``use_compiled`` forces the
-    choice either way.
+    lexicographically least maximum independent set.
 
     ``transitive_symmetries`` takes permutations that are verified to be
     automorphisms acting transitively on the vertices; then some maximum
@@ -330,8 +450,11 @@ def independence_number(g: ChannelGraph,
         return IndependenceResult(0, (), True, 0)
 
     if transitive_symmetries is not None:
-        return _alpha_by_transitivity(g, transitive_symmetries, node_budget,
-                                      seed_witness, use_compiled)
+        perms = [tuple(int(x) for x in p) for p in transitive_symmetries]
+        for p in perms:
+            if not is_automorphism(g, p):
+                raise ValueError("symmetry is not a graph automorphism")
+        return _alpha_by_transitivity(g, perms, node_budget, seed_witness)
 
     best_set = _greedy_independent_set(masks, n)
     if seed_witness is not None:
@@ -345,16 +468,6 @@ def independence_number(g: ChannelGraph,
             best_set = seed
     best = len(best_set)
     nodes = 0
-
-    if use_compiled is None:
-        use_compiled = n > 64 and _compiled_available()
-    if use_compiled:
-        from . import _fastmis
-        alpha, witness, nodes, exact = _fastmis.solve(
-            masks, n, best, best_set, node_budget)
-        if exact and n <= lexmin_max_vertices:
-            witness = _lexmin_refine(masks, n, alpha, witness)
-        return IndependenceResult(alpha, tuple(witness), exact, nodes)
 
     def expand(cand: int, chosen: list[int]) -> None:
         nonlocal best, best_set, nodes
@@ -390,8 +503,7 @@ def independence_number(g: ChannelGraph,
 
 def cycle_product_independence(n: int, h: ChannelGraph,
                                node_budget: int = 10 ** 8,
-                               seed_witness: Optional[Sequence[int]] = None,
-                               use_compiled: Optional[bool] = None) -> IndependenceResult:
+                               seed_witness: Optional[Sequence[int]] = None) -> IndependenceResult:
     """alpha of cycle(n) boxtimes h, using the cycle's edge structure.
 
     For an independent set S of the product with sections S_u over cycle
@@ -408,8 +520,7 @@ def cycle_product_independence(n: int, h: ChannelGraph,
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     product = strong_product(cycle(n), h)
-    rh = independence_number(h, node_budget=node_budget,
-                             use_compiled=use_compiled)
+    rh = independence_number(h, node_budget=node_budget)
     incumbent: list[int] = []
     if seed_witness is not None:
         incumbent = sorted(int(v) for v in seed_witness)
@@ -423,8 +534,7 @@ def cycle_product_independence(n: int, h: ChannelGraph,
         if len(incumbent) == bound:
             return IndependenceResult(bound, tuple(incumbent), True, rh.nodes)
     res = independence_number(product, node_budget=node_budget,
-                              seed_witness=incumbent or None,
-                              use_compiled=use_compiled)
+                              seed_witness=incumbent or None)
     if rh.exact:
         bound = n * rh.alpha // 2
         if res.alpha == bound:
@@ -433,35 +543,31 @@ def cycle_product_independence(n: int, h: ChannelGraph,
     return res
 
 
-def _alpha_by_transitivity(g: ChannelGraph, generators, node_budget: int,
-                           seed_witness, use_compiled) -> IndependenceResult:
-    """Fix vertex 0 in the solution, justified by verified transitivity."""
+def _alpha_by_transitivity(g: ChannelGraph, perms: Sequence[Sequence[int]],
+                           node_budget: int, seed_witness) -> IndependenceResult:
+    """Fix vertex 0 in the solution; ``perms`` must be automorphisms of g.
+
+    Callers verify them (independence_number) or build them as lifts of
+    verified factor automorphisms (automata.channel_series_prefix).
+    """
     n = g.vertex_count
-    perms = [tuple(int(x) for x in p) for p in generators]
-    for p in perms:
-        if not is_automorphism(g, p):
-            raise ValueError("symmetry is not a graph automorphism")
-    # orbit of 0, keeping a group element mapping 0 to each reached vertex
-    reach = {0: tuple(range(n))}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for p in perms:
-            w = p[v]
-            if w not in reach:
-                reach[w] = tuple(p[x] for x in reach[v])
-                queue.append(w)
+    reach = _orbit(perms, 0)
     if len(reach) != n:
         raise ValueError("symmetries do not act transitively on the vertices")
 
     seed = sorted(int(v) for v in seed_witness) if seed_witness else None
     if seed and 0 not in seed:
-        # translate the seed so it contains vertex 0
-        q = reach[seed[0]]
-        inv = [0] * n
-        for i, x in enumerate(q):
-            inv[x] = i
-        seed = sorted(inv[v] for v in seed)
+        # translate the seed so it contains vertex 0, undoing the steps
+        # that took 0 to seed[0]
+        v = seed[0]
+        while reach[v] is not None:
+            u, p = reach[v]
+            inv = [0] * n
+            for i, x in enumerate(p):
+                inv[x] = i
+            seed = [inv[w] for w in seed]
+            v = u
+        seed = sorted(seed)
 
     closed = g.neighbor_masks[0] | 1
     sub, old = induced_subgraph(
@@ -471,8 +577,7 @@ def _alpha_by_transitivity(g: ChannelGraph, generators, node_budget: int,
         pos = {v: i for i, v in enumerate(old)}
         sub_seed = [pos[v] for v in seed if v != 0]
     res = independence_number(sub, node_budget=node_budget,
-                              seed_witness=sub_seed, lexmin_max_vertices=0,
-                              use_compiled=use_compiled)
+                              seed_witness=sub_seed, lexmin_max_vertices=0)
     witness = tuple(sorted([0] + [old[i] for i in res.witness]))
     return IndependenceResult(res.alpha + 1, witness, res.exact, res.nodes)
 

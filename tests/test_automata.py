@@ -358,6 +358,19 @@ def test_series_of_unambiguous_expression_builds_one_dfa(monkeypatch):
     assert calls == [str(parse_regex(HUB_REGEX))]
 
 
+def test_rate_builds_one_dfa(monkeypatch):
+    calls = []
+
+    def counting(e, alphabet=None):
+        calls.append(str(e))
+        return regex_to_dfa(e, alphabet)
+
+    monkeypatch.setattr(zecap.automata, "regex_to_dfa", counting)
+    rr = rational_code_rate(RationalCode.from_expression(parse_regex(HUB_REGEX)))
+    assert rr.nu == pytest.approx(1 + math.sqrt(5), rel=1e-9)
+    assert calls == [str(parse_regex(HUB_REGEX))]
+
+
 @pytest.mark.parametrize("text", ["(0+0)#", "((0+0)#)*"])
 def test_ambiguity_under_empty_language_is_named(text):
     with pytest.raises(AmbiguousExpressionError) as info:

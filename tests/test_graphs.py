@@ -4,13 +4,17 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zecap.graphs import (BudgetExceededError, ChannelGraph, complete, cycle,
-                          cycle_power_symmetries, cycle_product_independence,
-                          disjoint_union, distinguishable, graph_by_name,
-                          independence_number, induced_subgraph,
-                          is_automorphism, one_vertex, path, strong_power,
-                          strong_product, zero_graph)
+from zecap.automata import channel_series_prefix
+from zecap.graphs import (BudgetExceededError, ChannelGraph, _clique_cover,
+                          complete, cycle, cycle_power_symmetries,
+                          cycle_product_independence, disjoint_union,
+                          distinguishable, graph_by_name, independence_number,
+                          induced_subgraph, is_automorphism,
+                          lift_automorphisms, one_vertex, path, strong_power,
+                          strong_product, transitive_automorphisms, zero_graph)
 
 
 def to_networkx(g: ChannelGraph) -> nx.Graph:
@@ -31,6 +35,33 @@ def random_graph(rng: random.Random, n: int, p: float) -> ChannelGraph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return ChannelGraph.from_edges([str(i) for i in range(n)], edges)
+
+
+def circulant(n: int, steps) -> ChannelGraph:
+    return ChannelGraph.from_edges(
+        [str(i) for i in range(n)],
+        {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps
+         if (i + s) % n != i})
+
+
+def per_vertex_clique_cover(masks, cand):
+    """Reference: each vertex, in increasing order, joins the first class
+    whose members are all its neighbours."""
+    classes, members = [], []
+    m = cand
+    while m:
+        lsb = m & -m
+        v = lsb.bit_length() - 1
+        m ^= lsb
+        for idx, cmask in enumerate(classes):
+            if cmask & ~masks[v] == 0:
+                classes[idx] |= lsb
+                members[idx].append(v)
+                break
+        else:
+            classes.append(lsb)
+            members.append([v])
+    return [(v, k) for k, verts in enumerate(members, start=1) for v in verts]
 
 
 def test_cycle_basics():
@@ -180,20 +211,9 @@ def test_alpha_against_networkx_oracle():
         assert independence_number(g).alpha == oracle_alpha(g)
 
 
-def test_alpha_compiled_matches_python():
-    pytest.importorskip("numba")
-    rng = random.Random(3)
-    for _ in range(5):
-        g = random_graph(rng, 14, 0.4)
-        a = independence_number(g, use_compiled=False)
-        b = independence_number(g, use_compiled=True)
-        assert a.alpha == b.alpha
-        assert a.witness == b.witness
-
-
 def test_alpha_budget_gives_lower_bound():
     g = strong_power(cycle(5), 3)
-    res = independence_number(g, node_budget=10, use_compiled=False)
+    res = independence_number(g, node_budget=10)
     assert not res.exact
     assert res.alpha <= 10
     full = independence_number(g)
@@ -291,3 +311,113 @@ def test_alpha_superadditive_under_product():
         ab = independence_number(b).alpha
         prod = independence_number(strong_product(a, b)).alpha
         assert prod >= aa * ab
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([0.1, 0.3, 0.5, 0.8, 0.95]),
+       st.integers(0, 2 ** 32), st.integers(0, 2 ** 40))
+def test_clique_cover_matches_per_vertex_scan(n, p, seed, cand_bits):
+    g = random_graph(random.Random(seed), n, p)
+    cand = cand_bits & ((1 << n) - 1)
+    for c in (cand, (1 << n) - 1):
+        assert _clique_cover(g.neighbor_masks, c) == \
+            per_vertex_clique_cover(g.neighbor_masks, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.floats(0, 1), st.integers(0, 2 ** 32))
+def test_strong_product_matches_networkx_property(na, nb, p, seed):
+    rng = random.Random(seed)
+    a = random_graph(rng, na, p)
+    b = random_graph(rng, nb, p)
+    theirs = nx.strong_product(to_networkx(a), to_networkx(b))
+    relabel = {(u, v): u * b.vertex_count + v for u, v in theirs.nodes}
+    assert nx.utils.graphs_equal(to_networkx(strong_product(a, b)),
+                                 nx.relabel_nodes(theirs, relabel))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.floats(0, 1), st.integers(0, 2 ** 32),
+       st.integers(0, 2 ** 30))
+def test_induced_subgraph_matches_networkx(n, p, seed, keep_bits):
+    g = random_graph(random.Random(seed), n, p)
+    keep = [v for v in range(n) if keep_bits >> v & 1]
+    sub, old = induced_subgraph(g, keep)
+    assert old == keep
+    assert sub.labels == tuple(g.labels[v] for v in keep)
+    theirs = nx.relabel_nodes(to_networkx(g).subgraph(keep),
+                              {v: i for i, v in enumerate(keep)})
+    assert nx.utils.graphs_equal(to_networkx(sub), theirs)
+
+
+def test_induced_subgraph_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        induced_subgraph(cycle(5), [0, 5])
+    with pytest.raises(ValueError):
+        induced_subgraph(cycle(5), [-1, 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9), st.sets(st.integers(1, 4), min_size=1),
+       st.integers(1, 3))
+def test_channel_series_prefix_matches_plain_on_circulants(n, steps, l):
+    g = circulant(n, steps)
+    perms = transitive_automorphisms(g)
+    assert perms is not None  # circulants are vertex-transitive
+    l = min(l, 2 if n > 4 else 3)
+    prefix = channel_series_prefix(g, l)
+    plain = [independence_number(strong_power(g, k)) for k in range(1, l + 1)]
+    assert prefix.terms == (1,) + tuple(r.alpha for r in plain)
+    assert all(prefix.exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.floats(0, 1), st.integers(0, 2 ** 32),
+       st.integers(1, 2))
+def test_channel_series_prefix_matches_plain_with_isolated_vertex(n, p, seed, l):
+    g = disjoint_union(random_graph(random.Random(seed), n, p), one_vertex("z"))
+    if g.edge_count():
+        assert transitive_automorphisms(g) is None
+    prefix = channel_series_prefix(g, l)
+    plain = [independence_number(strong_power(g, k)) for k in range(1, l + 1)]
+    assert prefix.terms == (1,) + tuple(r.alpha for r in plain)
+
+
+def test_transitive_automorphisms():
+    assert transitive_automorphisms(graph_by_name("C5+1")) is None
+    assert transitive_automorphisms(path(3)) is None
+    for g in (cycle(7), complete(4), circulant(8, [1, 4]),
+              strong_power(cycle(4), 2), disjoint_union(cycle(3), cycle(3))):
+        perms = transitive_automorphisms(g)
+        assert perms and all(is_automorphism(g, p) for p in perms)
+        # transitive: the orbit of 0 is everything
+        orbit, frontier = {0}, [0]
+        while frontier:
+            frontier = [p[v] for v in frontier for p in perms if p[v] not in orbit]
+            orbit.update(frontier)
+        assert orbit == set(range(g.vertex_count))
+
+
+def test_automorphism_search_out_of_steps_falls_back(monkeypatch):
+    import zecap.graphs
+    monkeypatch.setattr(zecap.graphs, "_AUTOMORPHISM_STEPS", 3)
+    assert transitive_automorphisms(cycle(7)) is None
+    assert channel_series_prefix(cycle(7), 2).terms == (1, 3, 10)
+
+
+def test_lifted_automorphisms_are_automorphisms_of_the_power():
+    for g, l in ((cycle(5), 3), (complete(3), 3), (circulant(6, [1, 3]), 2),
+                 (disjoint_union(cycle(3), cycle(3)), 2)):
+        power = strong_power(g, l)
+        lifts = lift_automorphisms(transitive_automorphisms(g), l)
+        assert lifts and all(is_automorphism(power, p) for p in lifts)
+    assert lift_automorphisms([tuple((v + 1) % 5 for v in range(5))], 2) == \
+        cycle_power_symmetries(5, 2)
+
+
+def test_alpha_c7_plus_one_squared_is_pinned():
+    # the search without symmetry: node count and witness fixed by the bound
+    res = independence_number(strong_power(graph_by_name("C7+1"), 2))
+    assert (res.alpha, res.exact, res.nodes) == (17, True, 161360)
+    assert res.witness == (0, 1, 3, 5, 8, 9, 11, 21, 24, 25, 27, 37, 40, 42,
+                           47, 52, 62)
