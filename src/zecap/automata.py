@@ -5,15 +5,14 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union as TyUnion
 
 from .graphs import (ChannelGraph, _alpha_by_transitivity, _check_power_size,
                      independence_number, lift_automorphisms, strong_product,
                      transitive_automorphisms)
-from .numerics import (IntPolynomial, RationalFraction, count_walks,
-                       series_coefficients, smallest_modulus_root,
-                       spectral_radius)
+from .numerics import (RationalFraction, count_walks, series_coefficients,
+                       smallest_modulus_root, spectral_radius, trim)
 
 
 class AmbiguousExpressionError(Exception):
@@ -191,50 +190,51 @@ class Dfa:
         })
 
 
-def _thompson_nfa(e: Regex, alphabet: tuple[int, ...]):
-    # fragments: (start, accept) over states with eps / letter moves
-    eps: list[set[int]] = []
-    moves: list[dict[int, set[int]]] = []
+def _positions(e: Regex) -> tuple[list[int], list[set[int]], set[int]]:
+    """Position (Glushkov) automaton of e, without ε-moves.
 
-    def new_state() -> int:
-        eps.append(set())
-        moves.append({})
-        return len(eps) - 1
+    Returns the letter of each position, the positions that may follow each
+    one, and the final positions.  The last position is a sentinel for
+    "before any letter": it is followed by the first positions of e and is
+    final when e accepts the empty word.
+    """
+    letter: list[int] = []
+    follow: list[set[int]] = []
 
-    def build(node: Regex) -> tuple[int, int]:
-        s, t = new_state(), new_state()
+    def walk(node: Regex) -> tuple[bool, set[int], set[int]]:
+        """(nullable, first, last) of node; fills in follow on the way."""
         if isinstance(node, Empty):
-            pass
-        elif isinstance(node, Epsilon):
-            eps[s].add(t)
-        elif isinstance(node, Letter):
-            moves[s].setdefault(node.symbol, set()).add(t)
-        elif isinstance(node, Union):
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            eps[s] |= {ls, rs}
-            eps[lt].add(t)
-            eps[rt].add(t)
-        elif isinstance(node, Concat):
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
-            eps[s].add(ls)
-            eps[lt].add(rs)
-            eps[rt].add(t)
-        elif isinstance(node, Star):
-            is_, it = build(node.inner)
-            eps[s] |= {is_, t}
-            eps[it] |= {is_, t}
-        else:
-            raise TypeError(f"not a regex node: {node!r}")
-        return s, t
+            return False, set(), set()
+        if isinstance(node, Epsilon):
+            return True, set(), set()
+        if isinstance(node, Letter):
+            letter.append(node.symbol)
+            follow.append(set())
+            return False, {len(letter) - 1}, {len(letter) - 1}
+        if isinstance(node, Star):
+            _, first, last = walk(node.inner)
+            for p in last:
+                follow[p] |= first
+            return True, first, last
+        if isinstance(node, (Union, Concat)):
+            n1, f1, l1 = walk(node.left)
+            n2, f2, l2 = walk(node.right)
+            if isinstance(node, Union):
+                return n1 or n2, f1 | f2, l1 | l2
+            for p in l1:
+                follow[p] |= f2
+            return n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
+        raise TypeError(f"not a regex node: {node!r}")
 
-    start, accept = build(e)
-    return eps, moves, start, accept
+    nullable, first, last = walk(e)
+    follow.append(first)
+    if nullable:
+        last.add(len(follow) - 1)
+    return letter, follow, last
 
 
 def regex_to_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Dfa:
-    """Thompson construction, subset determinization, Moore minimization."""
+    """Position automaton, subset determinization, Moore minimization."""
     if alphabet is None:
         alphabet = sorted(letters_of(e))
     else:
@@ -243,44 +243,26 @@ def regex_to_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Dfa:
         if missing:
             raise ValueError(f"expression letters {sorted(missing)} not in alphabet")
     alphabet = tuple(alphabet)
-    eps, moves, nstart, naccept = _thompson_nfa(e, alphabet)
+    letter, follow, last = _positions(e)
 
-    # A subset is kept as its states with letter moves, plus the accepting
-    # state: the others change neither its moves nor its acceptance.  Only
-    # the start and the targets of letter moves need their ε-closures.
-    kernel = [bool(moves[s]) or s == naccept for s in range(len(eps))]
-    closures = {}
-    for s0 in {nstart}.union(*(t for m in moves for t in m.values())):
-        seen = {s0}
-        stack = [s0]
-        while stack:
-            for t in eps[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        closures[s0] = frozenset(t for t in seen if kernel[t])
-
-    start_set = closures[nstart]
+    start_set = frozenset([len(follow) - 1])
     index = {start_set: 0}
     subsets = [start_set]
     table: list[list[int]] = []
-    pos = 0
-    while pos < len(subsets):
-        cur = subsets[pos]
-        pos += 1
+    for cur in subsets:  # grows while it is walked
+        by_letter: dict[int, set[int]] = {}
+        for p in cur:
+            for q in follow[p]:
+                by_letter.setdefault(letter[q], set()).add(q)
         row = []
         for a in alphabet:
-            nxt = set()
-            for s in cur:
-                for t in moves[s].get(a, ()):
-                    nxt |= closures[t]
-            nxt = frozenset(nxt)
+            nxt = frozenset(by_letter.get(a, ()))
             if nxt not in index:
                 index[nxt] = len(subsets)
                 subsets.append(nxt)
             row.append(index[nxt])
         table.append(row)
-    accepting = {i for i, sub in enumerate(subsets) if naccept in sub}
+    accepting = {i for i, sub in enumerate(subsets) if not last.isdisjoint(sub)}
     return _minimize(alphabet, table, 0, accepting)
 
 
@@ -342,33 +324,10 @@ def count_language(dfa: Dfa, up_to: int) -> list[int]:
 
 
 def useful_successors(dfa: Dfa) -> list[list[int]]:
-    """Successor lists of the DFA restricted to its useful states.
-
-    Useful states are reachable from the start and co-reachable to an
-    accepting state, renumbered in increasing order; the sink drops out, so
-    the spectral radius reflects language growth.  A target appears once per
-    letter leading to it.
-    """
-    n = dfa.state_count()
-    co = set(dfa.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s not in co and any(t in co for t in dfa.transitions[s]):
-                co.add(s)
-                changed = True
-    reach = {dfa.start}
-    queue = deque([dfa.start])
-    while queue:
-        s = queue.popleft()
-        for t in dfa.transitions[s]:
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
-    keep = sorted(reach & co)
-    idx = {s: i for i, s in enumerate(keep)}
-    return [[idx[t] for t in dfa.transitions[s] if t in idx] for s in keep]
+    """Successor lists of the DFA trimmed to its useful states (see
+    numerics.trim); the sink drops out, so the spectral radius reflects
+    language growth.  A target appears once per letter leading to it."""
+    return trim(dfa.transitions, dfa.start, dfa.accepting)
 
 
 def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None) -> RationalFraction:
@@ -478,8 +437,9 @@ class RationalRate:
     polynomial_growth: bool = False
 
 
-def rational_code_rate(code: RationalCode, cross_check_tol: float = 1e-8) -> RationalRate:
-    """Rate from the smallest-modulus pole, cross-checked on the DFA spectrum."""
+def rational_code_rate(code: RationalCode) -> RationalRate:
+    """Rate from the smallest-modulus pole, cross-checked on the DFA spectrum
+    to a relative 1e-8."""
     expr = code.expression
     f, dfa = _series_and_dfa(expr)
     if dfa is None:
@@ -491,7 +451,7 @@ def rational_code_rate(code: RationalCode, cross_check_tol: float = 1e-8) -> Rat
                             None, f, polynomial_growth=True)
     pole = smallest_modulus_root(f.denominator)
     nu = 1.0 / abs(pole)
-    if abs(nu - rho) > cross_check_tol * max(1.0, nu):
+    if abs(nu - rho) > 1e-8 * max(1.0, nu):
         raise ArithmeticError(
             f"pole-based rate {nu} disagrees with spectral radius {rho}")
     return RationalRate(nu, math.log2(nu), pole, f)
@@ -529,8 +489,7 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
         if l > 1:
             power = strong_product(power, g)
         if perms:  # empty for graphs of at most one vertex
-            res = _alpha_by_transitivity(power, lift_automorphisms(perms, l),
-                                         node_budget, None)
+            res = _alpha_by_transitivity(power, lift_automorphisms(perms, l), node_budget)
         else:
             res = independence_number(power, node_budget=node_budget)
         terms.append(res.alpha)

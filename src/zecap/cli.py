@@ -16,10 +16,8 @@ EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage error; main() reports it like any ValueError, with exit 1."""
 
 
 def _load_graph(args) -> graphs.ChannelGraph:
@@ -31,20 +29,14 @@ def _load_graph(args) -> graphs.ChannelGraph:
             return graphs.ChannelGraph.from_json(spec)
         except (KeyError, ValueError, json.JSONDecodeError) as ex:
             raise CliError(f"bad graph JSON: {ex}") from ex
-    try:
-        return graphs.graph_by_name(spec)
-    except ValueError as ex:
-        raise CliError(str(ex)) from ex
+    return graphs.graph_by_name(spec)
 
 
 def _parse_words(g: graphs.ChannelGraph, text: str) -> varlen.GeneratorSet:
     items = [w.strip() for w in text.split(",")]
     if any(not w for w in items):
         raise CliError("empty word in --words")
-    try:
-        return varlen.GeneratorSet.from_strings(g, items)
-    except ValueError as ex:
-        raise CliError(str(ex)) from ex
+    return varlen.GeneratorSet.from_strings(g, items)
 
 
 def _load_code(args):
@@ -57,10 +49,7 @@ def _load_code(args):
     if args.words is not None:
         return "varlen", _parse_words(_load_graph(args), args.words)
     if getattr(args, "regex", None) is not None:
-        try:
-            return "regex", automata.parse_regex(args.regex)
-        except ValueError as ex:
-            raise CliError(str(ex)) from ex
+        return "regex", automata.parse_regex(args.regex)
     try:
         with open(args.file) as fh:
             data = json.load(fh)
@@ -142,14 +131,7 @@ def cmd_rate(args) -> int:
         lines = [f"nu = {_fmt(r.nu)}  (spectral radius, {tg.state_count()} states)",
                  f"r  = {_fmt(r.r_bits)} bits per channel use"]
     else:
-        try:
-            rc = automata.RationalCode.from_expression(code)
-        except ValueError as ex:
-            raise CliError(str(ex)) from ex
-        try:
-            rr = automata.rational_code_rate(rc, cross_check_tol=args.tol)
-        except automata.AmbiguousExpressionError as ex:
-            raise CliError(str(ex)) from ex
+        rr = automata.rational_code_rate(automata.RationalCode.from_expression(code))
         payload = {"method": "series-pole", "nu": rr.nu, "r_bits": rr.r_bits,
                    "series": str(rr.series),
                    "polynomial_growth": rr.polynomial_growth}
@@ -240,11 +222,7 @@ def cmd_alpha(args) -> int:
     if args.length < 1:
         raise CliError("alpha needs --L of at least 1")
     g = _load_graph(args)
-    try:
-        prefix = automata.channel_series_prefix(g, args.length,
-                                                node_budget=args.budget_nodes)
-    except graphs.BudgetExceededError as ex:
-        raise CliError(str(ex), EXIT_BUDGET) from ex
+    prefix = automata.channel_series_prefix(g, args.length, node_budget=args.budget_nodes)
     payload = {"alpha": list(prefix.terms), "exact": list(prefix.exact),
                "rate_lower_bound": prefix.running_rate_lower_bound()}
     lines = []
@@ -266,11 +244,7 @@ def cmd_alpha(args) -> int:
 
 def cmd_series(args) -> int:
     if args.regex is not None:
-        try:
-            e = automata.parse_regex(args.regex)
-            f = automata.generator_series(e)
-        except (ValueError, automata.AmbiguousExpressionError) as ex:
-            raise CliError(str(ex)) from ex
+        f = automata.generator_series(automata.parse_regex(args.regex))
         coeffs = numerics.series_coefficients(f, args.length)
         payload = {"series": str(f), "coefficients": coeffs}
         lines = [f"F = {f}", "coefficients: " + ", ".join(map(str, coeffs))]
@@ -279,11 +253,7 @@ def cmd_series(args) -> int:
         return EXIT_OK
     # channel generator series prefix for a graph
     g = _load_graph(args)
-    try:
-        prefix = automata.channel_series_prefix(g, args.length,
-                                                node_budget=args.budget_nodes)
-    except graphs.BudgetExceededError as ex:
-        raise CliError(str(ex), EXIT_BUDGET) from ex
+    prefix = automata.channel_series_prefix(g, args.length, node_budget=args.budget_nodes)
     payload = {"coefficients": list(prefix.terms), "exact": list(prefix.exact)}
     terms = " + ".join(f"{a}z^{l}" if l else str(a)
                        for l, a in enumerate(prefix.terms))
@@ -297,11 +267,7 @@ def cmd_series(args) -> int:
 def cmd_dfa_dump(args) -> int:
     if args.regex is None:
         raise CliError("dfa-dump needs --regex")
-    try:
-        e = automata.parse_regex(args.regex)
-    except ValueError as ex:
-        raise CliError(str(ex)) from ex
-    dfa = automata.regex_to_dfa(e)
+    dfa = automata.regex_to_dfa(automata.parse_regex(args.regex))
     payload = json.loads(dfa.to_json())
     lines = [f"states: {dfa.state_count()}  start: {dfa.start}  "
              f"accepting: {sorted(dfa.accepting)}  sink: {dfa.sink}",
@@ -329,14 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-error codes over channel graphs: verification and rates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, length_default=None):
+    def common(p, length_default=None, graph=True, code_file=True, budget=False):
         p.add_argument("--format", choices=["human", "json", "csv"], default="human")
-        p.add_argument("--budget-nodes", type=int, default=10 ** 8,
-                       help="node budget for independence search")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="tolerance for cross-checks")
-        p.add_argument("--graph", help="built-in graph name or inline JSON")
-        p.add_argument("--file", help="JSON code spec path")
+        if budget:
+            p.add_argument("--budget-nodes", type=int, default=10 ** 8,
+                           help="node budget for independence search")
+        if graph:
+            p.add_argument("--graph", help="built-in graph name or inline JSON")
+        if code_file:
+            p.add_argument("--file", help="JSON code spec path")
         if length_default is not None:
             p.add_argument("--L", dest="length", type=_length, default=length_default,
                            help="length cap")
@@ -367,16 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("alpha", help="independence numbers of strong powers")
-    common(p, length_default=2)
+    common(p, length_default=2, code_file=False, budget=True)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("series", help="generator series of a regex or channel")
-    common(p, length_default=10)
+    common(p, length_default=10, code_file=False, budget=True)
     p.add_argument("--regex", help="regular expression")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("dfa-dump", help="deterministic automaton of a regex")
-    common(p)
+    common(p, graph=False, code_file=False)
     p.add_argument("--regex", help="regular expression")
     p.set_defaults(func=cmd_dfa_dump)
 
@@ -391,16 +358,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if ex.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CliError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return ex.code
     except graphs.BudgetExceededError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_BUDGET
     except varlen.NonUniquelyDecodableError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, ArithmeticError) as ex:
+    except (ValueError, ArithmeticError, automata.AmbiguousExpressionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
 

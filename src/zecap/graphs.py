@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -345,17 +344,16 @@ def transitive_automorphisms(g: ChannelGraph) -> Optional[list[tuple[int, ...]]]
     return perms
 
 
-def _orbit(perms: Sequence[Sequence[int]], v: int) -> dict:
-    """Breadth-first orbit of v; each reached w maps to (u, p) with p[u] = w."""
-    reach = {v: None}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
+def _orbit(perms: Sequence[Sequence[int]], v: int) -> set[int]:
+    """Orbit of v under the group that ``perms`` generate."""
+    reach = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
         for p in perms:
-            w = p[u]
-            if w not in reach:
-                reach[w] = (u, p)
-                queue.append(w)
+            if p[u] not in reach:
+                reach.add(p[u])
+                stack.append(p[u])
     return reach
 
 
@@ -442,7 +440,8 @@ def independence_number(g: ChannelGraph,
     ``transitive_symmetries`` takes permutations that are verified to be
     automorphisms acting transitively on the vertices; then some maximum
     independent set contains vertex 0, so the search is restricted to its
-    non-neighbors, typically shrinking the tree by the orbit factor.
+    non-neighbors, typically shrinking the tree by the orbit factor; it
+    takes no ``seed_witness``.
     """
     n = g.vertex_count
     masks = g.neighbor_masks
@@ -450,11 +449,13 @@ def independence_number(g: ChannelGraph,
         return IndependenceResult(0, (), True, 0)
 
     if transitive_symmetries is not None:
+        if seed_witness is not None:
+            raise ValueError("give seed_witness or transitive_symmetries, not both")
         perms = [tuple(int(x) for x in p) for p in transitive_symmetries]
         for p in perms:
             if not is_automorphism(g, p):
                 raise ValueError("symmetry is not a graph automorphism")
-        return _alpha_by_transitivity(g, perms, node_budget, seed_witness)
+        return _alpha_by_transitivity(g, perms, node_budget)
 
     best_set = _greedy_independent_set(masks, n)
     if seed_witness is not None:
@@ -544,40 +545,19 @@ def cycle_product_independence(n: int, h: ChannelGraph,
 
 
 def _alpha_by_transitivity(g: ChannelGraph, perms: Sequence[Sequence[int]],
-                           node_budget: int, seed_witness) -> IndependenceResult:
+                           node_budget: int) -> IndependenceResult:
     """Fix vertex 0 in the solution; ``perms`` must be automorphisms of g.
 
     Callers verify them (independence_number) or build them as lifts of
     verified factor automorphisms (automata.channel_series_prefix).
     """
     n = g.vertex_count
-    reach = _orbit(perms, 0)
-    if len(reach) != n:
+    if len(_orbit(perms, 0)) != n:
         raise ValueError("symmetries do not act transitively on the vertices")
-
-    seed = sorted(int(v) for v in seed_witness) if seed_witness else None
-    if seed and 0 not in seed:
-        # translate the seed so it contains vertex 0, undoing the steps
-        # that took 0 to seed[0]
-        v = seed[0]
-        while reach[v] is not None:
-            u, p = reach[v]
-            inv = [0] * n
-            for i, x in enumerate(p):
-                inv[x] = i
-            seed = [inv[w] for w in seed]
-            v = u
-        seed = sorted(seed)
-
     closed = g.neighbor_masks[0] | 1
     sub, old = induced_subgraph(
         g, [v for v in range(n) if not closed >> v & 1])
-    sub_seed = None
-    if seed:
-        pos = {v: i for i, v in enumerate(old)}
-        sub_seed = [pos[v] for v in seed if v != 0]
-    res = independence_number(sub, node_budget=node_budget,
-                              seed_witness=sub_seed, lexmin_max_vertices=0)
+    res = independence_number(sub, node_budget=node_budget, lexmin_max_vertices=0)
     witness = tuple(sorted([0] + [old[i] for i in res.witness]))
     return IndependenceResult(res.alpha + 1, witness, res.exact, res.nodes)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .graphs import BudgetExceededError, Word
-from .numerics import count_walks, spectral_radius
+from .numerics import count_walks, spectral_radius, trim
 from .varlen import GeneratorSet
 
 State = tuple[int, ...]
@@ -159,7 +159,10 @@ class IntermingledRate:
 
 
 def rate(tg: TransitionGraph) -> IntermingledRate:
-    nu = spectral_radius(tg.successors())
+    """Growth of the closed walks at the zero state: the spectral radius of
+    the states that lie on one, since no other state carries a codeword."""
+    zero = tg.zero_state_index
+    nu = spectral_radius(trim(tg.successors(), zero, (zero,)))
     return IntermingledRate(nu, math.log2(nu) if nu > 0 else float("-inf"))
 
 
@@ -172,44 +175,63 @@ class IntermingledVerifyResult:
 
 def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule,
                       product_state_budget: int = 250_000) -> IntermingledVerifyResult:
-    """Search for two confusable distinct emitted sequences of equal length.
+    """Search for two distinct walks of the encoder that a receiver confuses.
 
-    The pairwise product machine tracks both encoders' states plus a flag for
-    "the emitted strings differ somewhere"; a step needs the two letters to be
-    equal or adjacent in the channel graph.  Reaching both-closed with the
-    flag set is a violation, and exhausting the finite product space proves
-    correctness for all lengths.  Only reachable product states are visited;
-    visiting more than ``product_state_budget`` raises BudgetExceededError.
+    A pair product machine tracks both encoders' states plus a flag for "the
+    walks differ somewhere"; both return to the zero state with the flag set
+    is a violation, and exhausting the finite product space proves the code
+    zero-error for all lengths.  A first search pairs confusable letters
+    (equal or adjacent in the channel graph) and flags differing letters; if
+    it finds nothing, a second pairs equal letters and flags differing edges,
+    so its witness is one sequence emitted by two walks.  Only reachable
+    product states are visited; visiting more than ``product_state_budget``
+    in one search raises BudgetExceededError.
     """
     tg = build_transition_graph(gs, rule)
-    n = tg.state_count()
-    g = gs.graph
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j, letter, _wi in tg.edges:
-        succ[i].append((j, letter))
-    start = (tg.zero_state_index, tg.zero_state_index, False)
+    confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
+    succ: list[list[tuple[int, int, int]]] = [[] for _ in tg.states]
+    for k, (i, j, letter, _wi) in enumerate(tg.edges):
+        succ[i].append((j, letter, k))
+    zero = tg.zero_state_index
+    violation = _pair_search(
+        succ, zero, lambda la, lb: confusable[la] >> lb & 1,
+        lambda ea, eb: ea[1] != eb[1], product_state_budget)
+    if violation is None:
+        violation = _pair_search(succ, zero, lambda la, lb: la == lb,
+                                 lambda ea, eb: ea[2] != eb[2], product_state_budget)
+    return IntermingledVerifyResult(violation is None, violation, True)
+
+
+def _pair_search(edges, zero, compatible, differ, budget) -> Optional[tuple[Word, Word]]:
+    """Letter strings of two walks from ``zero`` back to it, compatible
+    letter by letter and differing at some step, or None if there are none.
+
+    ``edges[i]`` lists (target, letter, edge index) for the edges leaving
+    state i; ``compatible`` takes two letters, ``differ`` two such entries.
+    """
+    start = (zero, zero, False)
     parent: dict[tuple[int, int, bool], tuple[tuple[int, int, bool], int, int]] = {}
     seen = {start}
     queue = deque([start])
     while queue:
-        a, b, differ = queue.popleft()
-        for na, la in succ[a]:
-            for nb, lb in succ[b]:
-                if la != lb and not g.has_edge(la, lb):
-                    continue  # distinguishable step; pair cannot stay confusable
-                nxt = (na, nb, differ or la != lb)
-                if nxt == (tg.zero_state_index, tg.zero_state_index, True):
-                    parent[nxt] = ((a, b, differ), la, lb)
-                    return IntermingledVerifyResult(
-                        False, _reconstruct(parent, start, nxt), True)
+        a, b, flag = queue.popleft()
+        for ea in edges[a]:
+            na, la, _ = ea
+            for eb in edges[b]:
+                nb, lb, _ = eb
+                if not compatible(la, lb):
+                    continue  # no pair of codewords continues this way
+                nxt = (na, nb, flag or differ(ea, eb))
+                if nxt == (zero, zero, True):
+                    parent[nxt] = ((a, b, flag), la, lb)
+                    return _reconstruct(parent, start, nxt)
                 if nxt not in seen:
-                    if len(seen) >= product_state_budget:
-                        raise BudgetExceededError(
-                            f"product state budget {product_state_budget} exceeded")
+                    if len(seen) >= budget:
+                        raise BudgetExceededError(f"product state budget {budget} exceeded")
                     seen.add(nxt)
-                    parent[nxt] = ((a, b, differ), la, lb)
+                    parent[nxt] = ((a, b, flag), la, lb)
                     queue.append(nxt)
-    return IntermingledVerifyResult(True, None, True)
+    return None
 
 
 def _reconstruct(parent, start, end) -> tuple[Word, Word]:

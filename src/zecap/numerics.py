@@ -366,6 +366,38 @@ def count_walks(successors: Sequence[Sequence[int]], start: int,
     return out
 
 
+def trim(successors: Sequence[Sequence[int]], start: int,
+         accepting: Iterable[int]) -> list[list[int]]:
+    """Successor lists restricted to the states that are reachable from
+    ``start`` and co-reachable to ``accepting``, renumbered in increasing
+    order; edges to dropped states drop out, parallel edges stay.
+
+    One forward pass over successors, then one backward pass over the
+    predecessors of the reached states.
+    """
+    reach = {start}
+    stack = [start]
+    while stack:
+        for t in successors[stack.pop()]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    preds: dict[int, list[int]] = {s: [] for s in reach}
+    for s in reach:
+        for t in successors[s]:
+            preds[t].append(s)
+    useful = {s for s in accepting if s in reach}
+    stack = list(useful)
+    while stack:
+        for s in preds[stack.pop()]:
+            if s not in useful:
+                useful.add(s)
+                stack.append(s)
+    keep = sorted(useful)
+    index = {s: i for i, s in enumerate(keep)}
+    return [[index[t] for t in successors[s] if t in index] for s in keep]
+
+
 def spectral_radius(successors: Sequence[Sequence[int]], tol: float = POWER_ITER_TOL,
                     max_iter: int = 200_000) -> float:
     """Largest eigenvalue modulus of the adjacency matrix of a multigraph.

@@ -376,3 +376,91 @@ def test_ambiguity_under_empty_language_is_named(text):
     with pytest.raises(AmbiguousExpressionError) as info:
         generator_series(parse_regex(text))
     assert str(info.value.subexpression) == "(0+0)"
+
+
+# ---------------------------------------------------------------------------
+# The position automaton against the Thompson construction it replaced
+
+
+def thompson_dfa(e, alphabet):
+    """Reference: Thompson NFA with ε-moves, subset construction over
+    ε-closures, then the same Moore minimization as regex_to_dfa."""
+    eps, moves = [], []
+
+    def new_state():
+        eps.append(set())
+        moves.append({})
+        return len(eps) - 1
+
+    def build(node):
+        s, t = new_state(), new_state()
+        if isinstance(node, Epsilon):
+            eps[s].add(t)
+        elif isinstance(node, Letter):
+            moves[s].setdefault(node.symbol, set()).add(t)
+        elif isinstance(node, (Union, Concat)):
+            ls, lt = build(node.left)
+            rs, rt = build(node.right)
+            if isinstance(node, Union):
+                eps[s] |= {ls, rs}
+                eps[lt].add(t)
+            else:
+                eps[s].add(ls)
+                eps[lt].add(rs)
+            eps[rt].add(t)
+        elif isinstance(node, Star):
+            is_, it = build(node.inner)
+            eps[s] |= {is_, t}
+            eps[it] |= {is_, t}
+        return s, t
+
+    start, accept = build(e)
+
+    def closure(states):
+        seen = set(states)
+        stack = list(states)
+        while stack:
+            for t in eps[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    alphabet = tuple(sorted(alphabet))
+    subsets = [closure({start})]
+    index = {subsets[0]: 0}
+    table = []
+    for cur in subsets:
+        row = []
+        for a in alphabet:
+            nxt = closure({t for s in cur for t in moves[s].get(a, ())})
+            if nxt not in index:
+                index[nxt] = len(subsets)
+                subsets.append(nxt)
+            row.append(index[nxt])
+        table.append(row)
+    accepting = {i for i, sub in enumerate(subsets) if accept in sub}
+    return zecap.automata._minimize(alphabet, table, 0, accepting)
+
+
+wide_expressions = st.recursive(
+    st.sampled_from([Letter(a) for a in range(4)] + [Epsilon(), Empty()]),
+    lambda inner: st.one_of(st.builds(Union, inner, inner),
+                            st.builds(Concat, inner, inner),
+                            st.builds(Star, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_expressions, st.booleans())
+def test_position_automaton_dfa_equals_thompson_dfa(e, extend):
+    alphabet = [0, 1, 2, 3, 4] if extend else sorted(letters_of(e))
+    want = thompson_dfa(e, alphabet)
+    assert regex_to_dfa(e, alphabet if extend else None) == want
+
+
+@pytest.mark.parametrize("text", [HUB_REGEX, "((0)*1+2((0)*3)*)*", "@", "#", "(@)*",
+                                  "(#)*", "0#+1", "((0+@)(1+@))*"])
+def test_position_automaton_dfa_equals_thompson_dfa_on_fixed_expressions(text):
+    e = parse_regex(text)
+    assert regex_to_dfa(e) == thompson_dfa(e, sorted(letters_of(e)))

@@ -232,3 +232,29 @@ def test_not_uniquely_decodable_set_is_a_violation(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error:" in err and "not uniquely decodable" in err
+
+
+def test_verify_file_rejects_heptagon_single_open_code(tmp_path, capsys):
+    spec = {"generator": {"graph": "C7",
+                          "words": [[0], [2, 0], [2, 2], [2, 4], [4, 0], [4, 2], [4, 4]]},
+            "rule": {"family": "single-open", "hub": 0}}
+    path = tmp_path / "heptagon.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "verify", "--file", str(path))
+    assert code == 2
+    assert "confusable pair: 200 / 200" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dfa-dump", "--regex", "(0+11)*", "--graph", "C5"],
+    ["dfa-dump", "--regex", "(0+11)*", "--file", "code.json"],
+    ["alpha", "--graph", "C5", "--file", "code.json"],
+    ["series", "--regex", "(0+11)*", "--file", "code.json"],
+    ["rate", "--regex", "(0+11)*", "--tol", "1e-8"],
+    ["verify", "--graph", "C5+1", "--words", "0", "--budget-nodes", "5"],
+], ids=["dfa-dump-graph", "dfa-dump-file", "alpha-file", "series-file", "rate-tol",
+        "verify-budget"])
+def test_subcommands_take_only_the_options_they_read(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == ""

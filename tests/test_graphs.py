@@ -421,3 +421,9 @@ def test_alpha_c7_plus_one_squared_is_pinned():
     assert (res.alpha, res.exact, res.nodes) == (17, True, 161360)
     assert res.witness == (0, 1, 3, 5, 8, 9, 11, 21, 24, 25, 27, 37, 40, 42,
                            47, 52, 62)
+
+
+def test_alpha_seed_witness_and_symmetries_are_exclusive():
+    with pytest.raises(ValueError):
+        independence_number(cycle(5), seed_witness=[0, 2],
+                            transitive_symmetries=cycle_power_symmetries(5, 1))

@@ -1,14 +1,17 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zecap.graphs import BudgetExceededError, graph_by_name
+from zecap.graphs import BudgetExceededError, ChannelGraph, graph_by_name
 from zecap.intermingled import (build_transition_graph, count_sequences,
                                 full_rule, rate, rule_from_json,
                                 single_open_rule, table_rule, varlen_rule,
                                 verify_zero_error)
-from zecap.numerics import spectral_radius
+from zecap.numerics import spectral_radius, trim
 from zecap.varlen import GeneratorSet, count_concatenations
 
 C5P1 = graph_by_name("C5+1")
@@ -142,3 +145,152 @@ def test_empty_choice_rejected():
     rule = table_rule({(0,) * 6: []})
     with pytest.raises(ValueError):
         build_transition_graph(PENTAGON_SET, rule)
+
+
+# ---------------------------------------------------------------------------
+# Two walks that emit one sequence, and rates on the zero state's component
+
+BINARY = ChannelGraph.from_edges(["0", "1"], [])
+C7 = graph_by_name("C7")
+HEPTAGON_SET = GeneratorSet.from_strings(C7, ["0", "20", "22", "24", "40", "42", "44"])
+
+
+def emits_by_two_walks(tg, seq):
+    """Number of walks from the zero state back to it that emit seq."""
+    walks = {tg.zero_state_index: 1}
+    for letter in seq:
+        nxt = {}
+        for i, j, l, _w in tg.edges:
+            if l == letter and i in walks:
+                nxt[j] = nxt.get(j, 0) + walks[i]
+        walks = nxt
+    return walks.get(tg.zero_state_index, 0)
+
+
+def test_ambiguous_binary_single_open_code_is_rejected():
+    gs = GeneratorSet(BINARY, ((0, 1), (1, 1)))
+    res = verify_zero_error(gs, single_open_rule(0))
+    assert not res.ok and res.exact
+    a, b = res.violation
+    assert a == b
+    assert emits_by_two_walks(build_transition_graph(gs, single_open_rule(0)), a) >= 2
+
+
+def test_heptagon_single_open_code_is_rejected():
+    res = verify_zero_error(HEPTAGON_SET, single_open_rule(0))
+    assert not res.ok and res.exact
+    assert res.violation == ((2, 0, 0), (2, 0, 0))
+
+
+def test_pentagon_hub_code_still_verifies():
+    rule = single_open_rule(0)
+    assert verify_zero_error(PENTAGON_SET, rule).ok
+    assert rate(build_transition_graph(PENTAGON_SET, rule)).nu == pytest.approx(
+        1 + math.sqrt(5), abs=1e-9)
+
+
+def test_rate_ignores_states_that_never_return_to_zero():
+    gs = GeneratorSet(ChannelGraph.from_edges(["0", "1", "2"], []), ((0,), (1, 1), (2, 2)))
+    rule = rule_from_json({"family": "table", "table": {
+        "[0,0,0]": [0, 1], "[0,1,0]": [0, 2], "[0,1,1]": [0, 2]}})
+    tg = build_transition_graph(gs, rule)
+    assert count_sequences(tg, 12) == [1] * 13
+    assert rate(tg).nu == pytest.approx(1.0, abs=1e-9)
+
+
+def dihedral_relabellings():
+    return st.tuples(st.sampled_from([1, -1]), st.integers(0, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(6)), dihedral_relabellings())
+def test_full_rule_witness_strings_differ(order, dihedral):
+    s, r = dihedral
+    words = [(0,)] + [tuple(1 + (s * (x - 1) + r) % 5 for x in w)
+                      for w in PENTAGON_SET.words[1:]]
+    gs = GeneratorSet(C5P1, tuple(words[i] for i in order))
+    res = verify_zero_error(gs, full_rule())
+    assert not res.ok
+    a, b = res.violation
+    assert a != b and len(a) == len(b)
+    assert all(x == y or C5P1.has_edge(x, y) for x, y in zip(a, b))
+
+
+def _advance_state(state, wi, words):
+    nxt = list(state)
+    nxt[wi] = (state[wi] + 1) % len(words[wi])
+    return tuple(nxt)
+
+
+@st.composite
+def small_codes(draw):
+    """A channel graph on up to three letters, up to three words of length
+    at most three, and a succession rule of one of the four families."""
+    k = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = ChannelGraph.from_edges([str(i) for i in range(k)], edges)
+    words = tuple(draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)
+                                .map(tuple), min_size=1, max_size=3, unique=True)))
+    gs = GeneratorSet(g, words)
+    family = draw(st.sampled_from(["varlen", "single-open", "full", "table"]))
+    if family == "varlen":
+        return gs, varlen_rule()
+    if family == "single-open":
+        return gs, single_open_rule(draw(st.integers(0, len(words) - 1)))
+    if family == "full":
+        return gs, full_rule()
+    table = {}
+    stack = [(0,) * len(words)]
+    while stack:
+        state = stack.pop()
+        if state in table:
+            continue
+        choice = draw(st.lists(st.integers(0, len(words) - 1), min_size=1,
+                               max_size=len(words), unique=True))
+        table[state] = sorted(choice)
+        stack += [_advance_state(state, wi, words) for wi in choice]
+    return gs, table_rule(table)
+
+
+def closed_walk_strings(tg, up_to):
+    """Emitted string of every walk from the zero state back to it, by length."""
+    out = [[] for _ in range(up_to + 1)]
+    zero = tg.zero_state_index
+    by_source = [[] for _ in tg.states]
+    for i, j, letter, _w in tg.edges:
+        by_source[i].append((j, letter))
+
+    def walk(state, emitted):
+        if state == zero:
+            out[len(emitted)].append(emitted)
+        if len(emitted) < up_to:
+            for j, letter in by_source[state]:
+                walk(j, emitted + (letter,))
+
+    walk(zero, ())
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+def test_verified_codes_count_distinct_strings_and_rate_is_the_trimmed_spectrum(code):
+    gs, rule = code
+    if not verify_zero_error(gs, rule).ok:
+        return
+    tg = build_transition_graph(gs, rule)
+    up_to = 6
+    strings = closed_walk_strings(tg, up_to)
+    assert count_sequences(tg, up_to) == [len(set(s)) for s in strings]
+    g = gs.graph
+    for same_length in strings:  # zero-error: no two codewords are confusable
+        for a, b in itertools.combinations(same_length, 2):
+            assert any(x != y and not g.has_edge(x, y) for x, y in zip(a, b))
+    zero = tg.zero_state_index
+    trimmed = trim(tg.successors(), zero, (zero,))
+    m = np.zeros((len(trimmed), len(trimmed)))
+    for i, targets in enumerate(trimmed):
+        for j in targets:
+            m[i, j] += 1
+    want = max(abs(np.linalg.eigvals(m))) if trimmed[0] else 0.0
+    assert rate(tg).nu == pytest.approx(want, rel=1e-6, abs=1e-9)

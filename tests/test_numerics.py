@@ -10,7 +10,7 @@ from zecap.numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
                             RationalFraction, aberth_roots, closed_form_counts,
                             count_walks, linear_recurrence_extend, polynomial_gcd,
                             series_coefficients, smallest_modulus_root,
-                            spectral_radius, unique_positive_root)
+                            spectral_radius, trim, unique_positive_root)
 
 
 def P(*coeffs):
@@ -249,3 +249,33 @@ def test_closed_form_golden_coefficients():
     assert h[round(1 + s2, 6)].real == pytest.approx((6 + 5 * s2) / 28, abs=1e-9)
     assert h[round(-2.0, 6)].real == pytest.approx(4 / 7, abs=1e-9)
     assert h[round(1 - s2, 6)].real == pytest.approx((6 - 5 * s2) / 28, abs=1e-9)
+
+
+@st.composite
+def graphs_with_ends(draw):
+    n = draw(st.integers(1, 7))
+    succ = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n))
+    start = draw(st.integers(0, n - 1))
+    accepting = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return succ, start, accepting
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_ends())
+def test_trim_matches_brute_force_reachability(case):
+    succ, start, accepting = case
+    n = len(succ)
+    # reachable[i][j]: a walk of length 0..n leads from i to j
+    reachable = [[i == j for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        reachable = [[reachable[i][j] or any(reachable[i][k] and j in succ[k] for k in range(n))
+                      for j in range(n)] for i in range(n)]
+    keep = [s for s in range(n)
+            if reachable[start][s] and any(reachable[s][a] for a in accepting)]
+    want = [[keep.index(t) for t in succ[s] if t in keep] for s in keep]
+    assert trim(succ, start, accepting) == want
+
+
+def test_trim_keeps_parallel_edges_and_drops_dead_ends():
+    # 0 -> 1 twice, 1 -> 0, 1 -> 2 (dead end), 3 unreachable
+    assert trim([[1, 1], [0, 2], [], [0]], 0, [0]) == [[1, 1], [0]]
