@@ -6,11 +6,12 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Union as TyUnion
 
 from .graphs import (ChannelGraph, _alpha_by_transitivity, _check_power_size,
-                     independence_number, lift_automorphisms, strong_product,
-                     transitive_automorphisms)
+                     connected_components, independence_number, induced_subgraph,
+                     lift_automorphisms, strong_product, transitive_automorphisms)
 from .numerics import (RationalFraction, count_walks, series_coefficients,
                        smallest_modulus_root, spectral_radius, trim)
 
@@ -475,23 +476,45 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
                           max_vertices: int = 1_000_000) -> ChannelSeriesPrefix:
     """alpha(G^boxtimes l) for l = 0..up_to; term 0 is 1 by the empty product.
 
-    Each power is the product of the one before with G.  When automorphisms
-    of G act transitively on its vertices, their lifts act transitively on
-    every power; they are automorphisms by construction, so the search fixes
-    vertex 0 without checking them again on the power.
+    The strong power of a disjoint union is the disjoint union of the products
+    of its components taken l at a time, in order (Shannon, 1956).  An
+    isolated vertex drops out of a product, since H boxtimes K1 = H.  So with
+    k isolated vertices, and a_j the sum over multisets of j other components
+    of alpha of their product times the number of its orderings,
+    alpha(G^l) = sum_j C(l, j) k^(l-j) a_j.  The products of level j extend
+    those of level j - 1 by one factor.  When automorphisms of each factor
+    act transitively on it, their lifts act transitively on the product;
+    they are automorphisms by construction, so the search fixes vertex 0
+    without checking them again on the product.  Any other product gets the
+    plain search.  The products of one level share ``node_budget``.  For a
+    connected G the only product of level l is G's l-th power.
     """
-    perms = transitive_automorphisms(g)
-    terms = [1]
-    exact = [True]
-    power = g
+    comps = [induced_subgraph(g, c)[0] for c in connected_components(g) if len(c) > 1]
+    isolated = g.vertex_count - sum(f.vertex_count for f in comps)
+    perms = [transitive_automorphisms(f) for f in comps]
+    a, a_exact = [1], [True]
+    terms, exact = [1], [True]
+    products: dict[tuple[int, ...], ChannelGraph] = {}
     for l in range(1, up_to + 1):
         _check_power_size(g, l, max_vertices)
-        if l > 1:
-            power = strong_product(power, g)
-        if perms:  # empty for graphs of at most one vertex
-            res = _alpha_by_transitivity(power, lift_automorphisms(perms, l), node_budget)
-        else:
-            res = independence_number(power, node_budget=node_budget)
-        terms.append(res.alpha)
-        exact.append(res.exact)
+        level = {}
+        total, level_exact, spent = 0, True, 0
+        for key in combinations_with_replacement(range(len(comps)), l):
+            f = comps[key[-1]]
+            product = level[key] = strong_product(products[key[:-1]], f) if l > 1 else f
+            if all(perms[i] for i in key):
+                res = _alpha_by_transitivity(
+                    product, lift_automorphisms([perms[i] for i in key]), node_budget - spent)
+            else:
+                res = independence_number(product, node_budget=node_budget - spent,
+                                          lexmin_max_vertices=0)
+            spent += res.nodes
+            total += res.alpha * math.factorial(l) // math.prod(
+                math.factorial(key.count(i)) for i in set(key))
+            level_exact = level_exact and res.exact
+        products = level
+        a.append(total)
+        a_exact.append(level_exact)
+        terms.append(sum(math.comb(l, j) * isolated ** (l - j) * a[j] for j in range(l + 1)))
+        exact.append(all(a_exact[j] for j in range(l + 1) if isolated or j == l))
     return ChannelSeriesPrefix(tuple(terms), tuple(exact))

@@ -144,7 +144,10 @@ def cmd_rate(args) -> int:
             lines.append("polynomial growth: no pole, rate from DFA spectrum")
         lines += [f"nu = {_fmt(rr.nu)}",
                   f"r  = {_fmt(rr.r_bits)} bits per channel use"]
-    _emit(args, payload, lines)
+    rows = [[k, v] for k, v in payload.items()]
+    if math.isinf(payload["r_bits"]):  # nu = 0; JSON has no -Infinity
+        payload["r_bits"] = None
+    _emit(args, payload, lines, rows)
     return EXIT_OK
 
 

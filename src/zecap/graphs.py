@@ -9,6 +9,7 @@ level, never stored.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -217,22 +218,30 @@ def is_automorphism(g: ChannelGraph, perm: Sequence[int]) -> bool:
     return True
 
 
-def lift_automorphisms(perms: Sequence[Sequence[int]], l: int) -> list[tuple[int, ...]]:
-    """Automorphisms of the l-th strong power from automorphisms of its factor.
+def lift_automorphisms(perms: Sequence, l: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Automorphisms of a strong product from automorphisms of its factors.
 
-    Each factor automorphism is applied to one coordinate at a time (base-n
-    digits of the row-major index, as strong_power numbers them), which
-    preserves adjacency-or-equality in every coordinate.  When the factor
-    automorphisms act transitively on the factor, the lifts act transitively
-    on the power.
+    ``perms`` lists, factor by factor, automorphisms of each factor of the
+    product as strong_product builds it (left to right); given ``l``, it is
+    instead the automorphisms of one factor, and the product is its l-th
+    strong power.  Each factor automorphism is applied to its own coordinate
+    (a mixed-radix digit of the row-major index), which preserves
+    adjacency-or-equality in every coordinate.  When each factor's
+    automorphisms act transitively on it, the lifts act transitively on the
+    product.  A factor's size is read from its automorphisms, so none may be
+    given without any.
     """
+    factors = [perms] * l if l is not None else perms
+    if not all(factors):
+        raise ValueError("every factor needs at least one automorphism")
+    sizes = [len(f[0]) for f in factors]
+    total = stride = math.prod(sizes)
     out = []
-    for coord in range(l):
-        for p in perms:
-            n = len(p)
-            stride = n ** (l - 1 - coord)
+    for f, n in zip(factors, sizes):
+        stride //= n
+        for p in f:
             out.append(tuple(v + stride * (p[v // stride % n] - v // stride % n)
-                             for v in range(n ** l)))
+                             for v in range(total)))
     return out
 
 
@@ -244,6 +253,30 @@ def cycle_power_symmetries(n: int, l: int) -> list[tuple[int, ...]]:
     symmetry reduction in independence_number.
     """
     return lift_automorphisms([tuple((v + 1) % n for v in range(n))], l)
+
+
+def connected_components(g: ChannelGraph) -> list[list[int]]:
+    """Vertex lists of the connected components of g, ordered by least vertex.
+
+    Each list is in breadth-first order from the component's least vertex,
+    neighbours taken in increasing order.
+    """
+    comps: list[list[int]] = []
+    placed = 0
+    for root in range(g.vertex_count):
+        if placed >> root & 1:
+            continue
+        placed |= 1 << root
+        comp = [root]
+        for u in comp:  # grows while it is walked
+            m = g.neighbor_masks[u] & ~placed
+            placed |= m
+            while m:
+                lsb = m & -m
+                comp.append(lsb.bit_length() - 1)
+                m ^= lsb
+        comps.append(comp)
+    return comps
 
 
 # at most about 0.3 s on a 2-core x86 VM under Python 3.11; a factor the
@@ -266,22 +299,7 @@ def transitive_automorphisms(g: ChannelGraph) -> Optional[list[tuple[int, ...]]]
     masks = g.neighbor_masks
     # breadth-first, one component after another, so that most vertices are
     # adjacent to one assigned before them, which narrows their images
-    order: list[int] = []
-    placed = 0
-    for root in range(n):
-        if placed >> root & 1:
-            continue
-        placed |= 1 << root
-        order.append(root)
-        i = len(order) - 1
-        while i < len(order):
-            m = masks[order[i]] & ~placed
-            placed |= m
-            while m:
-                lsb = m & -m
-                order.append(lsb.bit_length() - 1)
-                m ^= lsb
-            i += 1
+    order = [v for comp in connected_components(g) for v in comp]
     position = {v: i for i, v in enumerate(order)}
     steps = 0
 

@@ -187,6 +187,43 @@ def test_budget_exit_code(capsys):
     assert not all(data["exact"])
 
 
+def test_alpha_c5_plus_one_cubed_is_exact(capsys):
+    code, out, _ = run(capsys, "alpha", "--graph", "C5+1", "--L", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["alpha"] == [1, 3, 10, 32]
+    assert all(data["exact"])
+
+
+def test_budget_exit_code_on_a_disconnected_graph(capsys):
+    # (C7+1)^2 = C7 x C7 + 2 C7 + K1: the C7 x C7 part runs out of nodes
+    code, out, _ = run(capsys, "alpha", "--graph", "C7+1", "--L", "2",
+                       "--budget-nodes", "5", "--format", "json")
+    assert code == 3
+    data = json.loads(out)
+    assert data["alpha"][:2] == [1, 4] and data["exact"][:2] == [True, True]
+    assert not data["exact"][2] and data["alpha"][2] <= 17
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_rate_json_of_a_code_with_no_growth_is_valid(tmp_path, capsys):
+    # every codeword sequence ends after one word, so nu = 0 and r = -inf bits
+    spec = {"generator": {"graph": {"labels": ["0", "1"], "edges": []},
+                          "words": [[0], [1, 1]]},
+            "rule": {"family": "table", "table": {"[0,0]": [1], "[0,1]": [0]}}}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "rate", "--file", str(path), "--format", "json")
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["nu"] == 0.0 and data["r_bits"] is None
+    code, out, _ = run(capsys, "rate", "--file", str(path), "--format", "csv")
+    assert code == 0 and "r_bits,-inf" in out
+
+
 def test_json_round_trip_of_code_spec(tmp_path, capsys):
     # a dumped generator-set spec reproduces the identical report
     from zecap.graphs import graph_by_name

@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zecap.automata import channel_series_prefix
@@ -383,6 +383,53 @@ def test_channel_series_prefix_matches_plain_with_isolated_vertex(n, p, seed, l)
     assert prefix.terms == (1,) + tuple(r.alpha for r in plain)
 
 
+@st.composite
+def shuffled_unions(draw):
+    """A disjoint union of 1-3 small circulants, paths and isolated vertices,
+    vertices shuffled so that components are seldom contiguous, and a power
+    small enough for the plain search."""
+    l = draw(st.integers(1, 3))
+    part = st.one_of(
+        st.builds(circulant, st.integers(3, 6 if l < 3 else 4),
+                  st.sets(st.integers(1, 3), min_size=1)),
+        st.builds(path, st.integers(1, 6 if l < 3 else 3)),
+        st.just(one_vertex()))
+    parts = draw(st.lists(part, min_size=1, max_size=3))
+    g = parts[0]
+    for h in parts[1:]:
+        g = disjoint_union(g, h)
+    n = g.vertex_count
+    if n > (7 if l < 3 else 6):
+        l = 1
+    perm = draw(st.permutations(range(n)))
+    labels = [""] * n
+    for v, lab in enumerate(g.labels):
+        labels[perm[v]] = lab
+    return ChannelGraph.from_edges(labels, [(perm[u], perm[v]) for u, v in g.edges()]), l
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_unions())
+@example((disjoint_union(cycle(3), path(3)), 2))  # a transitive and a plain factor
+def test_channel_series_prefix_matches_plain_on_shuffled_unions(case):
+    g, l = case
+    prefix = channel_series_prefix(g, l)
+    plain = [independence_number(strong_power(g, k)) for k in range(1, l + 1)]
+    assert prefix.terms == (1,) + tuple(r.alpha for r in plain)
+    assert prefix.exact == (True,) + tuple(r.exact for r in plain)
+
+
+def test_products_of_one_power_share_the_node_budget():
+    # each of the three products C7 x C7 of level 2 takes 55 nodes
+    g = disjoint_union(cycle(7), cycle(7))
+    assert channel_series_prefix(g, 2, node_budget=165) == \
+        channel_series_prefix(g, 2)
+    assert channel_series_prefix(g, 2).terms == (1, 6, 40)
+    prefix = channel_series_prefix(g, 2, node_budget=164)
+    assert prefix.exact == (True, True, False) and prefix.terms[2] <= 40
+    assert channel_series_prefix(g, 1, node_budget=1).exact == (True, False)
+
+
 def test_transitive_automorphisms():
     assert transitive_automorphisms(graph_by_name("C5+1")) is None
     assert transitive_automorphisms(path(3)) is None
@@ -413,6 +460,20 @@ def test_lifted_automorphisms_are_automorphisms_of_the_power():
         assert lifts and all(is_automorphism(power, p) for p in lifts)
     assert lift_automorphisms([tuple((v + 1) % 5 for v in range(5))], 2) == \
         cycle_power_symmetries(5, 2)
+
+
+def test_lifts_to_a_product_of_different_cycles_are_automorphisms():
+    factors = [cycle(5), cycle(7), complete(3)]
+    product = strong_product(strong_product(factors[0], factors[1]), factors[2])
+    lifts = lift_automorphisms([transitive_automorphisms(f) for f in factors])
+    assert lifts and all(is_automorphism(product, p) for p in lifts)
+    orbit, frontier = {0}, [0]
+    while frontier:
+        frontier = [p[v] for v in frontier for p in lifts if p[v] not in orbit]
+        orbit.update(frontier)
+    assert orbit == set(range(product.vertex_count))
+    with pytest.raises(ValueError):
+        lift_automorphisms([transitive_automorphisms(cycle(5)), []])
 
 
 def test_alpha_c7_plus_one_squared_is_pinned():
