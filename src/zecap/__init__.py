@@ -10,7 +10,7 @@ from .graphs import (BudgetExceededError, ChannelGraph, IndependenceResult,
 from .numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
                        RationalFraction, aberth_roots, closed_form_counts,
                        count_walks, linear_recurrence_extend, polynomial_gcd,
-                       series_coefficients, smallest_modulus_root,
+                       series_coefficients, smallest_positive_root,
                        spectral_radius, unique_positive_root)
 from .varlen import (GeneratorSet, NonUniquelyDecodableError, RateResult,
                      count_concatenations, enumerate_codewords)
@@ -27,7 +27,7 @@ from .automata import (AmbiguousExpressionError, ChannelSeriesPrefix, Concat,
                        Dfa, Empty, Epsilon, Letter, RationalCode, RationalRate,
                        Star, Union, channel_series_prefix, count_language,
                        generator_series, parse_regex, rational_code_rate,
-                       regex_to_dfa, useful_successors)
+                       regex_to_dfa)
 
 __version__ = "1.0.0"
 
@@ -49,9 +49,8 @@ __all__ = [
     "lift_automorphisms", "linear_recurrence_extend", "one_vertex",
     "parse_regex", "path", "polynomial_gcd", "rational_code_rate",
     "regex_to_dfa", "rule_from_json", "series_coefficients",
-    "single_open_rule", "smallest_modulus_root", "spectral_radius",
+    "single_open_rule", "smallest_positive_root", "spectral_radius",
     "strong_power", "strong_product", "table_rule",
-    "transitive_automorphisms", "unique_positive_root",
-    "useful_successors", "varlen_rule", "verify_generator_set",
-    "verify_intermingled", "zero_graph",
+    "transitive_automorphisms", "unique_positive_root", "varlen_rule",
+    "verify_generator_set", "verify_intermingled", "zero_graph",
 ]

@@ -13,7 +13,7 @@ from .graphs import (ChannelGraph, _alpha_by_transitivity, _check_power_size,
                      connected_components, independence_number, induced_subgraph,
                      lift_automorphisms, strong_product, transitive_automorphisms)
 from .numerics import (RationalFraction, count_walks, series_coefficients,
-                       smallest_modulus_root, spectral_radius, trim)
+                       smallest_positive_root)
 
 
 class AmbiguousExpressionError(Exception):
@@ -324,14 +324,7 @@ def count_language(dfa: Dfa, up_to: int) -> list[int]:
     return count_walks(dfa.transitions, dfa.start, dfa.accepting, up_to)
 
 
-def useful_successors(dfa: Dfa) -> list[list[int]]:
-    """Successor lists of the DFA trimmed to its useful states (see
-    numerics.trim); the sink drops out, so the spectral radius reflects
-    language growth.  A target appears once per letter leading to it."""
-    return trim(dfa.transitions, dfa.start, dfa.accepting)
-
-
-def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None) -> RationalFraction:
+def generator_series(e: Regex) -> RationalFraction:
     """Counting series of L(e) by the recursive composition rules.
 
     The composed series is proven equal to the word counts of e once, at the
@@ -339,15 +332,6 @@ def generator_series(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Rati
     checked one by one, in post-order, only to name the first one whose
     union, concatenation or star is ambiguous, or when e contains #.
     """
-    return _series_and_dfa(e, alphabet)[0]
-
-
-def _series_and_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None
-                    ) -> tuple[RationalFraction, Optional[Dfa]]:
-    """generator_series, with the DFA of e that proved it at the root (None
-    when the series came from the per-subexpression checks)."""
-    if alphabet is None:
-        alphabet = sorted(letters_of(e))
 
     def compose(node: Regex, check_each: bool) -> RationalFraction:
         if isinstance(node, Empty):
@@ -369,7 +353,7 @@ def _series_and_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None
         else:
             raise TypeError(f"not a regex node: {node!r}")
         if check_each:
-            _check_against_dfa(node, f, regex_to_dfa(node, alphabet))
+            _check_against_dfa(node, f, regex_to_dfa(node))
         return f
 
     # One check at the root suffices.  Let s be the composed series and c the
@@ -384,12 +368,11 @@ def _series_and_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None
     if "#" not in str(e):
         try:
             f = compose(e, False)
-            dfa = regex_to_dfa(e, alphabet)
-            _check_against_dfa(e, f, dfa)
-            return f, dfa
+            _check_against_dfa(e, f, regex_to_dfa(e))
+            return f
         except AmbiguousExpressionError:
             pass  # redo with every check, to name the first failing node
-    return compose(e, True), None
+    return compose(e, True)
 
 
 def _check_against_dfa(node: Regex, f: RationalFraction, dfa: Dfa) -> None:
@@ -419,12 +402,19 @@ class RationalCode:
             raise ValueError("a rational code must be a starred expression")
         return RationalCode(e.inner)
 
-    def length_gcd(self, window: Optional[int] = None) -> int:
-        """gcd of inner-language word lengths over a finite window."""
+    def length_gcd(self) -> int:
+        """gcd of the inner language's word lengths.
+
+        Lengths below 2n, n = |states|, suffice.  Let d(v) be the BFS distance
+        from the start to v and e(v) the distance from v to an accepting
+        state, both below n on useful states.  An accepted path s = v_0 -> ...
+        -> v_m has m = d(v_m) + sum_i (d(v_i) + 1 - d(v_i+1)).  Here d(v_m) is
+        an accepted length, and each term is the difference of the accepted
+        lengths d(v_i) + 1 + e(v_i+1) <= 2n - 1 and d(v_i+1) + e(v_i+1).  So
+        the gcd of the accepted lengths below 2n divides m.
+        """
         dfa = regex_to_dfa(self.inner)
-        if window is None:
-            window = 2 * dfa.state_count()
-        counts = count_language(dfa, window)
+        counts = count_language(dfa, 2 * dfa.state_count())
         lengths = [l for l, c in enumerate(counts) if c and l > 0]
         return math.gcd(*lengths) if lengths else 1
 
@@ -433,29 +423,25 @@ class RationalCode:
 class RationalRate:
     nu: float
     r_bits: float
-    pole: Optional[complex]
+    pole: Optional[float]
     series: RationalFraction
     polynomial_growth: bool = False
 
 
 def rational_code_rate(code: RationalCode) -> RationalRate:
-    """Rate from the smallest-modulus pole, cross-checked on the DFA spectrum
-    to a relative 1e-8."""
-    expr = code.expression
-    f, dfa = _series_and_dfa(expr)
-    if dfa is None:
-        dfa = regex_to_dfa(expr)
-    rho = spectral_radius(useful_successors(dfa))
+    """Rate 1/z, z the smallest positive root of the series' denominator.
+
+    The series has nonnegative coefficients and is kept in lowest terms, so
+    by Pringsheim's theorem its radius of convergence z is a pole, and no
+    pole lies closer to 0.  A finite series means the inner language is
+    empty: the code is {ε} and its rate is 0.
+    """
+    f = generator_series(code.expression)
     if f.denominator.degree == 0:
-        # finite series: language growth is polynomial, no pole to invert
-        return RationalRate(rho, math.log2(rho) if rho > 0 else float("-inf"),
-                            None, f, polynomial_growth=True)
-    pole = smallest_modulus_root(f.denominator)
-    nu = 1.0 / abs(pole)
-    if abs(nu - rho) > 1e-8 * max(1.0, nu):
-        raise ArithmeticError(
-            f"pole-based rate {nu} disagrees with spectral radius {rho}")
-    return RationalRate(nu, math.log2(nu), pole, f)
+        return RationalRate(0.0, float("-inf"), None, f, polynomial_growth=True)
+    lo, hi = smallest_positive_root(f.denominator)
+    nu = float(2 / (lo + hi))
+    return RationalRate(nu, math.log2(nu), float((lo + hi) / 2), f)
 
 
 @dataclass(frozen=True)

@@ -137,11 +137,10 @@ def cmd_rate(args) -> int:
                    "polynomial_growth": rr.polynomial_growth}
         lines = [f"series = {rr.series}"]
         if rr.pole is not None:
-            payload["pole"] = [rr.pole.real, rr.pole.imag]
-            lines.append(f"pole = {_fmt(rr.pole.real)}"
-                         + (f"{rr.pole.imag:+.6f}i" if abs(rr.pole.imag) > 1e-9 else ""))
+            payload["pole"] = [rr.pole, 0.0]
+            lines.append(f"pole = {_fmt(rr.pole)}")
         else:
-            lines.append("polynomial growth: no pole, rate from DFA spectrum")
+            lines.append("polynomial growth: no pole, only the empty word")
         lines += [f"nu = {_fmt(rr.nu)}",
                   f"r  = {_fmt(rr.r_bits)} bits per channel use"]
     rows = [[k, v] for k, v in payload.items()]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-BISECTION_TOL = 1e-12
 ABERTH_TOL = 1e-10
 ABERTH_MAX_ITER = 200
 POWER_ITER_TOL = 1e-12
@@ -119,7 +118,8 @@ class IntPolynomial:
 
 
 def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    # exact integer pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b
+    # exact integer pseudo-remainder lc(b)^j * a mod b, where j >= 0 counts
+    # the reduction steps taken
     lead = b.leading()
     r = list(a.coefficients)
     db = b.degree
@@ -138,24 +138,12 @@ def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def polynomial_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """GCD over the integers via primitive pseudo-remainder sequence."""
-    if a.is_zero:
-        g = b
-    elif b.is_zero:
-        g = a
-    else:
-        a = a.primitive()
-        b = b.primitive()
-        if a.degree < b.degree:
-            a, b = b, a
-        while not b.is_zero:
-            r = _pseudo_remainder(a, b).primitive()
-            a, b = b, r
-        g = a
-    g = g.primitive()
-    if g.leading() < 0:
-        g = g.scale(-1)
-    return g
+    """GCD over the integers via primitive pseudo-remainder sequence, with a
+    positive leading coefficient."""
+    a, b = a.primitive(), b.primitive()
+    while not b.is_zero:  # a first step with deg a < deg b swaps them
+        a, b = b, _pseudo_remainder(a, b).primitive()
+    return -a if a.leading() < 0 else a
 
 
 @dataclass(frozen=True)
@@ -170,10 +158,6 @@ class RationalFraction:
     denominator: IntPolynomial
 
     def __init__(self, numerator: IntPolynomial, denominator: IntPolynomial):
-        if isinstance(numerator, (list, tuple)):
-            numerator = IntPolynomial(numerator)
-        if isinstance(denominator, (list, tuple)):
-            denominator = IntPolynomial(denominator)
         if denominator.is_zero:
             raise ZeroDivisionError("rational fraction with zero denominator")
         if numerator.is_zero:
@@ -265,30 +249,65 @@ def _is_rate_characteristic(p: IntPolynomial) -> bool:
     return all(c <= 0 for c in lower) and any(c < 0 for c in lower)
 
 
-def unique_positive_root(p: IntPolynomial, tol: float = BISECTION_TOL) -> float:
-    """The unique positive root of X^n = sum a_l X^(n-l) with a_l >= 0.
+def _sign_at(p: IntPolynomial, m: int, k: int) -> int:
+    """Sign of p(m / 2^k), from the integer 2^(k deg p) p(m / 2^k)."""
+    acc, shift = 0, 0
+    for c in reversed(p.coefficients):
+        acc = acc * m + (c << shift)
+        shift += k
+    return (acc > 0) - (acc < 0)
 
-    sum a_l x^(-l) is strictly decreasing on (0, inf), so bisection on a
-    guaranteed bracket suffices.
+
+def smallest_positive_root(p: IntPolynomial) -> tuple[Fraction, Fraction]:
+    """Dyadic lo <= x <= hi, hi - lo < lo / 2^64, around the smallest positive
+    root x of p, in exact integer arithmetic; ValueError if there is none.
+
+    Dividing out roots at 0 and repeated factors leaves a square-free q with
+    q(0) != 0.  By Sturm's theorem q has V(0) - V(t) roots in (0, t], V(t)
+    the sign changes of q, q', -rem(q, q'), ... at t.  Bisection on that
+    count isolates x; then q(t) differs in sign from q(0) exactly when t >= x.
     """
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no isolated roots")
+    q = IntPolynomial(p.coefficients[next(i for i, c in enumerate(p.coefficients) if c):])
+    q = _exact_div(q, polynomial_gcd(q, q.derivative()))
+    sturm = [q, q.derivative()]
+    while sturm[-1].degree > 0:
+        # the pseudo-remainder is a positive multiple of the remainder
+        # when the divisor's leading coefficient is positive
+        b = sturm[-1] if sturm[-1].leading() > 0 else -sturm[-1]
+        sturm.append(-_pseudo_remainder(sturm[-2], b).primitive())
+
+    def variations(m: int, k: int) -> int:  # V(m / 2^k)
+        signs = [x for x in (_sign_at(s, m, k) for s in sturm) if x]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    v0, sign0 = variations(0, 0), _sign_at(q, 0, 0)
+    # every root has modulus below 1 + max |c_i| <= hi (Cauchy)
+    lo, hi, k = 0, 1 << max(abs(c) for c in q.coefficients).bit_length(), 0
+    inside = v0 - variations(hi, k)  # roots in (lo, hi], none in (0, lo]
+    if not inside:
+        raise ValueError(f"polynomial {p} has no positive root")
+    while inside > 1 or (hi - lo) << 64 >= lo:
+        lo, hi, k, mid = 2 * lo, 2 * hi, k + 1, lo + hi
+        if inside > 1:
+            count = v0 - variations(mid, k)
+        else:
+            count = int(_sign_at(q, mid, k) != sign0)
+        if count:
+            hi, inside = mid, count
+        else:
+            lo = mid
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+
+
+def unique_positive_root(p: IntPolynomial) -> float:
+    """The unique positive root of X^n = sum a_l X^(n-l) with a_l >= 0: the
+    inverse of the positive root of 1 - sum a_l z^l, decreasing on (0, inf)."""
     if not _is_rate_characteristic(p):
         raise ValueError("polynomial is not of the form X^n - sum a_l X^(n-l) with a_l >= 0")
-    a = {p.degree - i: -c for i, c in enumerate(p.coefficients[:-1]) if c}
-
-    def f(x: float) -> float:
-        return sum(cl * x ** -l for l, cl in a.items()) - 1.0
-
-    lo = 1e-9
-    hi = 1.0 + max(a.values())
-    while f(hi) > 0:
-        hi *= 2
-    while hi - lo > tol * max(1.0, lo):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    lo, hi = smallest_positive_root(p.reversed_coefficients())
+    return float(2 / (lo + hi))
 
 
 def aberth_roots(p: IntPolynomial, tol: float = ABERTH_TOL,
@@ -333,14 +352,6 @@ def aberth_roots(p: IntPolynomial, tol: float = ABERTH_TOL,
         zs = [z - horner(coeffs, z) / horner(dp, z) if horner(dp, z) != 0 else z
               for z in zs]
     return roots + zs
-
-
-def smallest_modulus_root(p: IntPolynomial, tol: float = 1e-9) -> complex:
-    """A root of minimal modulus; ties prefer positive real then imaginary part."""
-    roots = aberth_roots(p)
-    mmin = min(abs(r) for r in roots)
-    tied = [r for r in roots if abs(r) <= mmin + tol * (1 + mmin)]
-    return max(tied, key=lambda r: (r.real, r.imag))
 
 
 def count_walks(successors: Sequence[Sequence[int]], start: int,

@@ -15,7 +15,7 @@ from zecap.intermingled import rate as intermingled_rate
 from zecap.intermingled import verify_zero_error as verify_intermingled
 from zecap.numerics import (CompanionMatrix, IntPolynomial, RationalFraction,
                             closed_form_counts, linear_recurrence_extend,
-                            series_coefficients, smallest_modulus_root,
+                            series_coefficients, smallest_positive_root,
                             spectral_radius, unique_positive_root)
 from zecap.varlen import GeneratorSet, count_concatenations
 from zecap.varlen import rate as varlen_rate
@@ -112,7 +112,8 @@ def test_criterion_6_generator_series():
     f = generator_series(parse_regex(HUB_REGEX))
     expected = RationalFraction(IntPolynomial([-1, 1]), IntPolynomial([-1, 2, 4]))
     reduces = (f == expected)
-    pole = smallest_modulus_root(f.denominator)
+    lo, hi = smallest_positive_root(f.denominator)
+    pole = float((lo + hi) / 2)
     s5 = math.sqrt(5)
     pole_ok = abs(pole - (-1 + s5) / 4) < 1e-9
     inv_ok = abs(1 / abs(pole) - (1 + s5)) < 1e-9

@@ -12,9 +12,9 @@ from zecap.automata import (AmbiguousExpressionError, Concat, Empty, Epsilon,
                             Letter, RationalCode, Star, Union,
                             channel_series_prefix, count_language,
                             generator_series, letters_of, parse_regex,
-                            rational_code_rate, regex_to_dfa, useful_successors)
+                            rational_code_rate, regex_to_dfa)
 from zecap.graphs import complete, cycle, graph_by_name, one_vertex
-from zecap.numerics import RationalFraction, series_coefficients, spectral_radius
+from zecap.numerics import RationalFraction, series_coefficients, spectral_radius, trim
 
 HUB_REGEX = "(0+1(0)*1+2(0)*3+3(0)*5+4(0)*2+5(0)*4)*"
 
@@ -198,8 +198,43 @@ def test_rational_code_rate_agrees_with_spectral_radius():
     for text in cases:
         e = parse_regex(text)
         rr = rational_code_rate(RationalCode.from_expression(e))
-        rho = spectral_radius(useful_successors(regex_to_dfa(e)))
+        dfa = regex_to_dfa(e)
+        rho = spectral_radius(trim(dfa.transitions, dfa.start, dfa.accepting))
         assert rr.nu == pytest.approx(rho, abs=1e-8)
+
+
+def test_rational_code_rate_is_correctly_rounded_on_a_large_hub():
+    # 0 and 63 branches a(0)*b: nu = 1 + sqrt 63, correctly rounded
+    pairs = [(a, b) for a in range(1, 10) for b in range(1, 10)][:63]
+    e = parse_regex("(0+" + "+".join(f"{a}(0)*{b}" for a, b in pairs) + ")*")
+    assert rational_code_rate(RationalCode.from_expression(e)).nu == 8.937253933193771
+
+
+def sympy_growth(den):
+    """1 / (smallest positive root of den), to 40 digits."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    roots = sympy.Poly(list(reversed(den.coefficients)), z).real_roots()
+    return sympy.N(1 / min(r for r in roots if r > 0), 40)
+
+
+def assert_rate_within_one_ulp_of_sympy(e):
+    try:
+        rr = rational_code_rate(RationalCode.from_expression(e))
+    except AmbiguousExpressionError:
+        return
+    if rr.polynomial_growth:
+        assert rr.nu == 0 and count_language(regex_to_dfa(e), 6) == [1, 0, 0, 0, 0, 0, 0]
+        return
+    sympy = pytest.importorskip("sympy")
+    assert abs(sympy.Float(rr.nu, 40) - sympy_growth(rr.series.denominator)) <= math.ulp(rr.nu)
+    assert rr.pole == pytest.approx(1 / rr.nu, rel=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.text("012", min_size=1, max_size=5), min_size=1, max_size=5))
+def test_rate_of_starred_word_sets_matches_sympy(words):
+    assert_rate_within_one_ulp_of_sympy(parse_regex("(" + "+".join(sorted(words)) + ")*"))
 
 
 def test_ambiguous_star_beyond_old_window():
@@ -250,6 +285,12 @@ expressions = st.recursive(
                             st.builds(Concat, inner, inner),
                             st.builds(Star, inner)),
     max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions)
+def test_rate_of_starred_expressions_matches_sympy(e):
+    assert_rate_within_one_ulp_of_sympy(Star(e))
 
 
 def per_subexpression_series(e):

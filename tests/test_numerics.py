@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from zecap.numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
                             RationalFraction, aberth_roots, closed_form_counts,
                             count_walks, linear_recurrence_extend, polynomial_gcd,
-                            series_coefficients, smallest_modulus_root,
+                            series_coefficients, smallest_positive_root,
                             spectral_radius, trim, unique_positive_root)
 
 
@@ -118,8 +118,58 @@ def test_aberth_handles_roots_at_origin():
 
 def test_smallest_modulus_root():
     # 4z^2 + 2z - 1: roots (-1 +/- sqrt 5)/4
-    r = smallest_modulus_root(P(-1, 2, 4))
-    assert r == pytest.approx((-1 + math.sqrt(5)) / 4, abs=1e-9)
+    lo, hi = smallest_positive_root(P(-1, 2, 4))
+    assert float((lo + hi) / 2) == pytest.approx((-1 + math.sqrt(5)) / 4, abs=1e-9)
+
+
+def assert_encloses_smallest_positive_root(p):
+    """lo <= r <= hi, r the least of sympy's exact positive real roots of p,
+    with hi - lo < lo / 2^64; ValueError when p has no positive root."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    positive = [r for r in sympy.Poly(list(reversed(p.coefficients)), z).real_roots()
+                if r > 0]
+    if not positive:
+        with pytest.raises(ValueError):
+            smallest_positive_root(p)
+        return
+    lo, hi = smallest_positive_root(p)
+    r = min(positive)
+    assert 0 < lo <= hi and (hi - lo) * 2 ** 64 < lo
+    assert sympy.Rational(lo.numerator, lo.denominator) <= r
+    assert r <= sympy.Rational(hi.numerator, hi.denominator)
+
+
+@pytest.mark.parametrize("p", [
+    P(1, -2),                                  # dyadic root 1/2
+    P(1, -2) * P(1, -2) * P(-3, 1),            # repeated dyadic root
+    P(0, 0, -1, 1),                            # roots at 0, then 1
+    P(0, -3, 0, 1) * P(-3, 0, 1),              # sqrt 3 twice, -sqrt 3 twice
+    P(-1, 2, 4),                               # (-1 + sqrt 5) / 4
+    P(1, -60, 899),                            # 1/29 and 1/31, close together
+    P(-1, 3, 0, -1),                           # lc(q') < 0, one pseudo-division step
+])
+def test_smallest_positive_root_examples(p):
+    assert_encloses_smallest_positive_root(p)
+
+
+@pytest.mark.parametrize("p", [P(), P(5), P(0, 0, 3), P(1, 1, 1), P(2, 3, 0, 1),
+                               P(1, 2, 1)])
+def test_smallest_positive_root_rejects_polynomials_without_one(p):
+    with pytest.raises(ValueError):
+        smallest_positive_root(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+       st.booleans(), st.integers(0, 2))
+def test_smallest_positive_root_matches_sympy(base, repeated, dyadic, zeros):
+    p = (P(*base) * P(*repeated) * P(*repeated) * (P(1, -2) if dyadic else P(1))
+         * P(*[0] * zeros, 1))
+    if p.is_zero:
+        return
+    assert_encloses_smallest_positive_root(p)
 
 
 def successors_of(matrix):

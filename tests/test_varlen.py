@@ -122,6 +122,27 @@ def test_rate_golden():
     assert rate(hat).r_bits == pytest.approx(math.log2(3), abs=1e-9)
 
 
+def test_rate_is_correctly_rounded():
+    # (1 + sqrt 21) / 2 rounded to the nearest double
+    assert rate(PENTAGON_SET).nu == 2.79128784747792
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.text("012345", min_size=1, max_size=6), min_size=1, max_size=6))
+def test_rate_matches_sympy(words):
+    sympy = pytest.importorskip("sympy")
+    gs = gen(sorted(words))
+    if two_factorizations(gs) is not None:
+        with pytest.raises(NonUniquelyDecodableError):
+            rate(gs)
+        return
+    nu = rate(gs).nu
+    X = sympy.Symbol("X")
+    coeffs = gs.characteristic_polynomial().coefficients
+    want = sympy.N(max(sympy.Poly(list(reversed(coeffs)), X).real_roots()), 40)
+    assert abs(sympy.Float(nu, 40) - want) <= math.ulp(nu)
+
+
 def test_rate_even_length_set():
     d2 = gen(["11", "23", "35", "42", "54"])
     assert rate(d2).nu == pytest.approx(math.sqrt(5), abs=1e-9)
