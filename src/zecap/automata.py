@@ -276,7 +276,7 @@ def _minimize(alphabet: tuple[int, ...], table: list[list[int]], start: int,
         signatures = {}
         new_block = [0] * n
         for s in range(n):
-            sig = (block[s], tuple(block[t] for t in table[s]))
+            sig = (block[s], tuple(map(block.__getitem__, table[s])))
             if sig not in signatures:
                 signatures[sig] = len(signatures)
             new_block[s] = signatures[sig]
@@ -320,8 +320,11 @@ def _minimize(alphabet: tuple[int, ...], table: list[list[int]], start: int,
 
 
 def count_language(dfa: Dfa, up_to: int) -> list[int]:
-    """Words accepted per length, exact, by counting walks on the DFA."""
-    return count_walks(dfa.transitions, dfa.start, dfa.accepting, up_to)
+    """Words accepted per length, exact, by counting walks on the DFA; walks
+    into the sink, which accept nothing, are dropped."""
+    sink = dfa.sink
+    successors = [[t for t in row if t != sink] for row in dfa.transitions]
+    return count_walks(successors, dfa.start, dfa.accepting, up_to)
 
 
 def generator_series(e: Regex) -> RationalFraction:

@@ -163,10 +163,12 @@ class RationalFraction:
         if numerator.is_zero:
             numerator, denominator = IntPolynomial([]), IntPolynomial([1])
         else:
-            g = polynomial_gcd(numerator, denominator)
-            if g.degree > 0 or g.leading() > 1:
-                numerator = _exact_div(numerator, g)
-                denominator = _exact_div(denominator, g)
+            # a constant side has polynomial gcd 1: the content step suffices
+            if numerator.degree > 0 and denominator.degree > 0:
+                g = polynomial_gcd(numerator, denominator)
+                if g.degree > 0:
+                    numerator = _exact_div(numerator, g)
+                    denominator = _exact_div(denominator, g)
             c = math.gcd(numerator.content(), denominator.content())
             if c > 1:
                 numerator = IntPolynomial([x // c for x in numerator.coefficients])
@@ -187,6 +189,8 @@ class RationalFraction:
         return RationalFraction(IntPolynomial([0, 1]), IntPolynomial([1]))
 
     def __add__(self, other: "RationalFraction") -> "RationalFraction":
+        if self.denominator == other.denominator:
+            return RationalFraction(self.numerator + other.numerator, self.denominator)
         return RationalFraction(
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator)
@@ -225,20 +229,19 @@ class RationalFraction:
 
 
 def _exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact polynomial division over the rationals, result known integral."""
-    num = [Fraction(c) for c in a.coefficients]
-    out = [Fraction(0)] * (len(num) - len(b.coefficients) + 1)
-    bl = Fraction(b.leading())
+    """a / b over the integers; ArithmeticError unless b divides a there."""
+    num = list(a.coefficients)
+    db, lead = b.degree, b.leading()
+    out = [0] * (len(num) - db)
     for shift in range(len(out) - 1, -1, -1):
-        q = num[shift + b.degree] / bl
-        out[shift] = q
+        # a remainder stays behind in num[shift + db]
+        q = out[shift] = num[shift + db] // lead
         if q:
             for i, bc in enumerate(b.coefficients):
                 num[shift + i] -= q * bc
     if any(num):
         raise ArithmeticError("inexact polynomial division")
-    assert all(f.denominator == 1 for f in out)
-    return IntPolynomial([int(f) for f in out])
+    return IntPolynomial(out)
 
 
 def _is_rate_characteristic(p: IntPolynomial) -> bool:
@@ -416,7 +419,8 @@ def spectral_radius(successors: Sequence[Sequence[int]], tol: float = POWER_ITER
     ``successors[i]`` lists the target of each edge leaving state i, a target
     repeated once per parallel edge.  Power iteration runs on A + I to break
     periodicity; 1 is subtracted at the end.  Convergence is judged on the
-    Rayleigh quotient.  Each row sums its (target, multiplicity) terms in
+    Rayleigh quotient; ArithmeticError if it has not converged after
+    ``max_iter`` iterations.  Each row sums its (target, multiplicity) terms in
     increasing target order with the +I shift merged into the diagonal term,
     so the float is the same as a dense row-by-row product would give.
     """
@@ -441,11 +445,11 @@ def spectral_radius(successors: Sequence[Sequence[int]], tol: float = POWER_ITER
         if abs(lam - prev) <= tol * max(1.0, abs(lam)):
             stable += 1
             if stable >= 3:
-                break
+                return lam - 1.0
         else:
             stable = 0
         prev = lam
-    return lam - 1.0
+    raise ArithmeticError(f"power iteration did not converge in {max_iter} iterations")
 
 
 @dataclass(frozen=True)
@@ -531,19 +535,24 @@ def _gauss_solve(rows: list[list[complex]], k: int) -> list[complex]:
 
 
 def series_coefficients(f: RationalFraction, up_to: int) -> list[int]:
-    """Exact power-series coefficients of f at 0, indices 0..up_to."""
+    """Exact power-series coefficients of f at 0, indices 0..up_to.
+
+    An integer recurrence over the nonzero denominator terms; a coefficient
+    that den[0] does not divide is a Fraction.
+    """
     den = f.denominator.coefficients
     if not den or den[0] == 0:
         raise ValueError("denominator must have a nonzero constant term")
     num = f.numerator.coefficients
-    d0 = Fraction(den[0])
-    out: list[Fraction] = []
+    d0 = den[0]
+    lags = [(j, -c) for j, c in enumerate(den) if j and c]
+    out: list = []
     for L in range(up_to + 1):
-        acc = Fraction(num[L] if L < len(num) else 0)
-        for j in range(1, min(L, len(den) - 1) + 1):
-            acc -= den[j] * out[L - j]
-        out.append(acc / d0)
-    result = []
-    for x in out:
-        result.append(int(x) if x.denominator == 1 else x)
-    return result
+        acc = num[L] if L < len(num) else 0
+        for j, c in lags:
+            if j > L:
+                break
+            acc += c * out[L - j]
+        q, r = divmod(acc, d0)
+        out.append(Fraction(acc, d0) if r else q)
+    return out

@@ -14,7 +14,8 @@ from zecap.automata import (AmbiguousExpressionError, Concat, Empty, Epsilon,
                             generator_series, letters_of, parse_regex,
                             rational_code_rate, regex_to_dfa)
 from zecap.graphs import complete, cycle, graph_by_name, one_vertex
-from zecap.numerics import RationalFraction, series_coefficients, spectral_radius, trim
+from zecap.numerics import (RationalFraction, count_walks, series_coefficients,
+                            spectral_radius, trim)
 
 HUB_REGEX = "(0+1(0)*1+2(0)*3+3(0)*5+4(0)*2+5(0)*4)*"
 
@@ -498,6 +499,14 @@ def test_position_automaton_dfa_equals_thompson_dfa(e, extend):
     alphabet = [0, 1, 2, 3, 4] if extend else sorted(letters_of(e))
     want = thompson_dfa(e, alphabet)
     assert regex_to_dfa(e, alphabet if extend else None) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_expressions, st.booleans())
+def test_count_language_without_the_sink_matches_walks_with_it(e, extend):
+    dfa = regex_to_dfa(e, [0, 1, 2, 3, 4] if extend else None)
+    assert count_language(dfa, 12) == count_walks(dfa.transitions, dfa.start,
+                                                  dfa.accepting, 12)
 
 
 @pytest.mark.parametrize("text", [HUB_REGEX, "((0)*1+2((0)*3)*)*", "@", "#", "(@)*",

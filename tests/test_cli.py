@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from zecap.cli import main
+from zecap.cli import build_parser, main
 
 HUB_REGEX = "(0+1(0)*1+2(0)*3+3(0)*5+4(0)*2+5(0)*4)*"
 
@@ -295,3 +295,17 @@ def test_subcommands_take_only_the_options_they_read(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out == ""
+
+
+def test_repeated_calls_share_one_parser_and_answer_alike(capsys):
+    jobs = [["series", "--regex", "(0+11)*", "--L", "-1"],  # usage error
+            ["series", "--regex", "(0+11)*", "--L", "6"],
+            ["dfa-dump", "--regex", "(0+11)*"]]
+    build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in jobs]
+    assert [code for code, _, _ in first] == [1, 0, 0]
+    assert "usage: zecap series" in first[0][2]
+    parser = build_parser()
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in jobs] == first
+    assert build_parser() is parser

@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecap.numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
-                            RationalFraction, aberth_roots, closed_form_counts,
+                            RationalFraction, _exact_div, aberth_roots, closed_form_counts,
                             count_walks, linear_recurrence_extend, polynomial_gcd,
                             series_coefficients, smallest_positive_root,
                             spectral_radius, trim, unique_positive_root)
@@ -214,7 +215,8 @@ def multigraphs(draw):
 
 
 def dense_spectral_radius(matrix, tol=1e-12, max_iter=200_000):
-    """Reference: power iteration on the dense matrix M + I, row by row."""
+    """Reference: power iteration on the dense matrix M + I, row by row;
+    None when it has not converged after max_iter iterations."""
     n = len(matrix)
     rows = [list(map(float, row)) for row in matrix]
     if all(c == 0 for r in rows for c in r):
@@ -232,11 +234,11 @@ def dense_spectral_radius(matrix, tol=1e-12, max_iter=200_000):
         if abs(lam - prev) <= tol * max(1.0, abs(lam)):
             stable += 1
             if stable >= 3:
-                break
+                return lam - 1.0
         else:
             stable = 0
         prev = lam
-    return lam - 1.0
+    return None  # not converged
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,9 +267,24 @@ def test_spectral_radius_matches_dense_reference(succ):
     n = len(succ)
     matrix = [[row.count(j) for j in range(n)] for row in succ]
     # a short iteration cap keeps slowly converging (defective) cases quick;
-    # both sides run the same iterations, so the floats must be equal
-    assert spectral_radius(succ, max_iter=3000) == \
-        dense_spectral_radius(matrix, max_iter=3000)
+    # both sides run the same iterations, so the floats must be equal, and
+    # both must give up on the same graphs
+    want = dense_spectral_radius(matrix, max_iter=3000)
+    if want is None:
+        with pytest.raises(ArithmeticError):
+            spectral_radius(succ, max_iter=3000)
+    else:
+        assert spectral_radius(succ, max_iter=3000) == want
+
+
+def test_spectral_radius_reports_non_convergence():
+    # stability takes three agreeing Rayleigh quotients, never one iteration
+    with pytest.raises(ArithmeticError):
+        spectral_radius([[0, 0]], max_iter=1)
+    # a Jordan block at rho = 1, the useful part of the DFA of (0)*(1)*:
+    # the quotient creeps towards 1 like 1/k and never settles
+    with pytest.raises(ArithmeticError):
+        spectral_radius([[0, 1], [1]], max_iter=2000)
 
 
 def test_linear_recurrence_extend():
@@ -329,3 +346,94 @@ def test_trim_matches_brute_force_reachability(case):
 def test_trim_keeps_parallel_edges_and_drops_dead_ends():
     # 0 -> 1 twice, 1 -> 0, 1 -> 2 (dead end), 3 unreachable
     assert trim([[1, 1], [0, 2], [], [0]], 0, [0]) == [[1, 1], [0]]
+
+
+# ---------------------------------------------------------------------------
+# Integer series arithmetic against the Fraction versions it replaced
+
+
+def fraction_series_coefficients(f, up_to):
+    """Reference: the recurrence in Fractions, integral terms made int."""
+    den = f.denominator.coefficients
+    num = f.numerator.coefficients
+    out = []
+    for L in range(up_to + 1):
+        acc = Fraction(num[L] if L < len(num) else 0)
+        for j in range(1, min(L, len(den) - 1) + 1):
+            acc -= den[j] * out[L - j]
+        out.append(acc / den[0])
+    return [int(x) if x.denominator == 1 else x for x in out]
+
+
+def fraction_exact_div(a, b):
+    """Reference: long division in Fractions; None unless the quotient is an
+    integer polynomial."""
+    num = [Fraction(c) for c in a.coefficients]
+    out = [Fraction(0)] * (len(num) - len(b.coefficients) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        q = num[shift + b.degree] / b.leading()
+        out[shift] = q
+        for i, bc in enumerate(b.coefficients):
+            num[shift + i] -= q * bc
+    if any(num) or any(q.denominator != 1 for q in out):
+        return None
+    return IntPolynomial([int(q) for q in out])
+
+
+def gcd_reduced(numerator, denominator):
+    """Reference: lowest terms through polynomial_gcd on every pair, then the
+    joint content, then the sign of the denominator's first nonzero anchor."""
+    g = polynomial_gcd(numerator, denominator)
+    numerator = fraction_exact_div(numerator, g)
+    denominator = fraction_exact_div(denominator, g)
+    c = math.gcd(numerator.content(), denominator.content())
+    numerator = IntPolynomial([x // c for x in numerator.coefficients])
+    denominator = IntPolynomial([x // c for x in denominator.coefficients])
+    if (denominator.constant_term() or denominator.leading()) < 0:
+        numerator, denominator = -numerator, -denominator
+    return numerator, denominator
+
+
+polynomials = st.lists(st.integers(-9, 9), max_size=5).map(IntPolynomial)
+nonzero_polynomials = polynomials.filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials, st.sampled_from([1, -1, 2, -2, 3]),
+       st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 12))
+def test_series_coefficients_match_fraction_reference(num, d0, tail, up_to):
+    den = IntPolynomial([d0] + tail)
+    # series_coefficients reads only the two polynomials: an unreduced pair
+    # keeps den[0] as drawn, a RationalFraction makes it positive
+    for f in (SimpleNamespace(numerator=num, denominator=den), RationalFraction(num, den)):
+        got, want = series_coefficients(f, up_to), fraction_series_coefficients(f, up_to)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials, nonzero_polynomials)
+def test_exact_div_matches_fraction_reference(a, b):
+    assert _exact_div(a * b, b) == a
+    want = fraction_exact_div(a, b)
+    if want is None:
+        with pytest.raises(ArithmeticError):
+            _exact_div(a, b)
+    else:
+        assert _exact_div(a, b) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-12, 12).filter(bool), nonzero_polynomials, st.booleans())
+def test_rational_fraction_with_a_constant_side_matches_gcd_reduction(c, p, constant_below):
+    num, den = (p, IntPolynomial([c])) if constant_below else (IntPolynomial([c]), p)
+    f = RationalFraction(num, den)
+    assert (f.numerator, f.denominator) == gcd_reduced(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials, polynomials, nonzero_polynomials)
+def test_sum_over_one_denominator_matches_cross_multiplication(a, b, d):
+    f = RationalFraction(a, d) + RationalFraction(b, d)
+    want = RationalFraction(a * d + b * d, d * d)
+    assert (f.numerator, f.denominator) == (want.numerator, want.denominator)
