@@ -6,12 +6,15 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence, Union as TyUnion
 
 from .graphs import (ChannelGraph, _alpha_by_transitivity, _check_power_size,
-                     connected_components, independence_number, induced_subgraph,
-                     lift_automorphisms, strong_product, transitive_automorphisms)
+                     _greedy_independent_set, _search, connected_components,
+                     coordinate_swaps, cover_weight, induced_subgraph,
+                     lift_automorphisms, section_bound, strong_product,
+                     transitive_automorphisms)
 from .numerics import (RationalFraction, count_walks, series_coefficients,
                        smallest_positive_root)
 
@@ -470,40 +473,89 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
     isolated vertex drops out of a product, since H boxtimes K1 = H.  So with
     k isolated vertices, and a_j the sum over multisets of j other components
     of alpha of their product times the number of its orderings,
-    alpha(G^l) = sum_j C(l, j) k^(l-j) a_j.  The products of level j extend
-    those of level j - 1 by one factor.  When automorphisms of each factor
-    act transitively on it, their lifts act transitively on the product;
-    they are automorphisms by construction, so the search fixes vertex 0
-    without checking them again on the product.  Any other product gets the
-    plain search.  The products of one level share ``node_budget``.  For a
-    connected G the only product of level l is G's l-th power.
+    alpha(G^l) = sum_j C(l, j) k^(l-j) a_j.
+
+    Each product P of level l gets two proven bounds from the smaller
+    products before any search.  The seed alpha(S) alpha(P/S), maximised
+    over sub-products S, is a lower bound; the section bound
+    floor(w(F) U(P/F)), minimised over factors F with w(F) the weight of a
+    fractional clique cover of F (graphs.cover_weight) and U an upper bound
+    on alpha, is an upper bound.  When they meet, the term is exact and P is
+    never built.  Otherwise the search starts above the seed and stops at
+    the section bound.  When automorphisms of each factor act transitively
+    on it, their lifts act transitively on the product; they are
+    automorphisms by construction, so the search fixes vertex 0 without
+    checking them again on the product, and branches at its root on one
+    vertex per orbit of the swaps of equal factors.  Any other product gets
+    the plain search.  The products of one level share ``node_budget``.  For
+    a connected G the only product of level l is G's l-th power.
     """
     comps = [induced_subgraph(g, c)[0] for c in connected_components(g) if len(c) > 1]
     isolated = g.vertex_count - sum(f.vertex_count for f in comps)
     perms = [transitive_automorphisms(f) for f in comps]
+    weights = [cover_weight(f, p is not None, node_budget) for f, p in zip(comps, perms)]
+    # proven bounds lower[P] <= alpha(P) <= upper[P], by sorted factor tuple P
+    lower: dict[tuple[int, ...], int] = {(): 1}
+    upper: dict[tuple[int, ...], int] = {(): 1}
+    built: dict[tuple[int, ...], ChannelGraph] = {}
+
+    def product(key: tuple[int, ...]) -> ChannelGraph:
+        if key not in built:
+            f = comps[key[-1]]
+            built[key] = strong_product(product(key[:-1]), f) if len(key) > 1 else f
+        return built[key]
+
     a, a_exact = [1], [True]
     terms, exact = [1], [True]
-    products: dict[tuple[int, ...], ChannelGraph] = {}
     for l in range(1, up_to + 1):
         _check_power_size(g, l, max_vertices)
-        level = {}
         total, level_exact, spent = 0, True, 0
         for key in combinations_with_replacement(range(len(comps)), l):
-            f = comps[key[-1]]
-            product = level[key] = strong_product(products[key[:-1]], f) if l > 1 else f
-            if all(perms[i] for i in key):
-                res = _alpha_by_transitivity(
-                    product, lift_automorphisms([perms[i] for i in key]), node_budget - spent)
-            else:
-                res = independence_number(product, node_budget=node_budget - spent,
-                                          lexmin_max_vertices=0)
-            spent += res.nodes
-            total += res.alpha * math.factorial(l) // math.prod(
+            seed, cap = _bounds(key, lower, upper, weights)
+            res_exact = True
+            if seed < cap:
+                p = product(key)
+                if all(perms[i] for i in key):
+                    res = _alpha_by_transitivity(
+                        p, lift_automorphisms([perms[i] for i in key]),
+                        node_budget - spent, seed, cap,
+                        coordinate_swaps([comps[i] for i in key]))
+                else:
+                    masks = p.neighbor_masks
+                    n = p.vertex_count
+                    res = _search(masks, n, _greedy_independent_set(masks, n), seed,
+                                  node_budget - spent, cap)
+                spent += res.nodes
+                seed, res_exact = res.alpha, res.exact
+                if res_exact:
+                    cap = res.alpha
+            lower[key], upper[key] = seed, cap
+            total += seed * math.factorial(l) // math.prod(
                 math.factorial(key.count(i)) for i in set(key))
-            level_exact = level_exact and res.exact
-        products = level
+            level_exact = level_exact and res_exact
         a.append(total)
         a_exact.append(level_exact)
         terms.append(sum(math.comb(l, j) * isolated ** (l - j) * a[j] for j in range(l + 1)))
         exact.append(all(a_exact[j] for j in range(l + 1) if isolated or j == l))
     return ChannelSeriesPrefix(tuple(terms), tuple(exact))
+
+
+def _bounds(key: tuple[int, ...], lower: dict, upper: dict,
+            weights: Sequence[Fraction]) -> tuple[int, int]:
+    """The seed and the section bound of the product of the components in
+    ``key``, from bounds on the products of fewer components."""
+    seed = max((lower[s] * lower[_without(key, s)]
+                for r in range(1, len(key)) for s in set(combinations(key, r))),
+               default=1)
+    cap = min(section_bound(weights[i], upper[_without(key, (i,))]) for i in set(key))
+    if seed > cap:
+        raise AssertionError(f"seed {seed} above section bound {cap}")
+    return seed, cap
+
+
+def _without(key: tuple[int, ...], part: Sequence[int]) -> tuple[int, ...]:
+    """The sorted multiset ``key`` less the sub-multiset ``part``."""
+    rest = list(key)
+    for i in part:
+        rest.remove(i)
+    return tuple(rest)

@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
@@ -255,6 +256,25 @@ def cycle_power_symmetries(n: int, l: int) -> list[tuple[int, ...]]:
     return lift_automorphisms([tuple((v + 1) % n for v in range(n))], l)
 
 
+def coordinate_swaps(factors: Sequence[ChannelGraph]) -> list[tuple[int, ...]]:
+    """Automorphisms of the strong product of ``factors`` (built left to
+    right) that swap two neighbouring coordinates whose factors are equal.
+
+    Each exchanges two mixed-radix digits of the row-major index, so each
+    fixes vertex 0, whose digits are all 0.
+    """
+    sizes = [f.vertex_count for f in factors]
+    total = math.prod(sizes)
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+    out = []
+    for i in range(len(factors) - 1):
+        if factors[i] == factors[i + 1]:
+            hi, lo, n = strides[i], strides[i + 1], sizes[i]
+            out.append(tuple(v + (v // lo % n - v // hi % n) * (hi - lo)
+                             for v in range(total)))
+    return out
+
+
 def connected_components(g: ChannelGraph) -> list[list[int]]:
     """Vertex lists of the connected components of g, ordered by least vertex.
 
@@ -443,11 +463,95 @@ class _Budget(Exception):
     pass
 
 
+class _Reached(Exception):
+    pass
+
+
+def _search(masks: Sequence[int], n: int, best_set: list[int], lower: int,
+            node_budget: int, upper_bound: int,
+            orbits: Optional[Sequence[int]] = None) -> IndependenceResult:
+    """Branch and bound for an independent set larger than ``lower``.
+
+    Each node bounds its candidates by a greedy clique cover.  The search
+    ends when it has refuted every larger set (exact), when its incumbent
+    reaches ``upper_bound`` (exact, the caller's bound being proven), or
+    after ``node_budget`` nodes (not exact).  ``best_set`` is the incumbent
+    to beat; ``lower`` may exceed its size when it is a value known without
+    a witness, and then stays the result unless the search beats it.
+
+    ``orbits`` maps each vertex to the mask of its orbit under automorphisms
+    of the graph; the root then branches on one vertex per orbit.  After the
+    branch that takes v, the branches still to come exclude all of v's
+    orbit: a larger set that meets the orbit maps onto one that takes v.
+    """
+    best = max(lower, len(best_set))
+    if not n:
+        return IndependenceResult(best, tuple(best_set), True, 0)
+    nodes = 0
+
+    def expand(cand: int, chosen: list[int]) -> None:
+        nonlocal best, best_set, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise _Budget
+        if best >= upper_bound:
+            raise _Reached
+        order = _clique_cover(masks, cand)
+        size = len(chosen)
+        for v, k in reversed(order):
+            if size + k <= best:
+                return
+            cand &= ~(1 << v)
+            chosen.append(v)
+            if size + 1 > best:
+                best = size + 1
+                best_set = sorted(chosen)
+                if best >= upper_bound:
+                    raise _Reached
+            sub = cand & ~masks[v]
+            if sub:
+                expand(sub, chosen)
+            chosen.pop()
+
+    def branch_on_orbits(cand: int) -> None:
+        nonlocal best, best_set, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise _Budget
+        if best >= upper_bound:
+            raise _Reached
+        # the candidates left at v lie in v's clique class or a lower one
+        for v, k in reversed(_clique_cover(masks, cand)):
+            if not cand >> v & 1:  # dropped with an orbit
+                continue
+            if k <= best:
+                return
+            if best < 1:
+                best, best_set = 1, [v]
+            sub = cand & ~masks[v] & ~(1 << v)
+            if sub:
+                expand(sub, [v])
+            cand &= ~orbits[v]
+
+    exact = True
+    try:
+        if orbits is None:
+            expand((1 << n) - 1, [])
+        else:
+            branch_on_orbits((1 << n) - 1)
+    except _Budget:
+        exact = False
+    except _Reached:
+        pass
+    return IndependenceResult(best, tuple(best_set), exact, nodes)
+
+
 def independence_number(g: ChannelGraph,
                         node_budget: int = 10 ** 8,
                         seed_witness: Optional[Sequence[int]] = None,
                         lexmin_max_vertices: int = 100,
-                        transitive_symmetries: Optional[Sequence[Sequence[int]]] = None) -> IndependenceResult:
+                        transitive_symmetries: Optional[Sequence[Sequence[int]]] = None,
+                        upper_bound: Optional[int] = None) -> IndependenceResult:
     """Exact maximum independent set by branch-and-bound with bitset masks.
 
     The bound is a greedy clique cover of the candidate set.  On budget
@@ -460,11 +564,18 @@ def independence_number(g: ChannelGraph,
     independent set contains vertex 0, so the search is restricted to its
     non-neighbors, typically shrinking the tree by the orbit factor; it
     takes no ``seed_witness``.
+
+    ``upper_bound`` is a proven bound alpha(g) <= upper_bound, such as a
+    section bound; the search stops once its incumbent reaches it, and the
+    result is then exact.  It is taken on trust: a wrong bound gives a
+    wrong answer.
     """
     n = g.vertex_count
     masks = g.neighbor_masks
     if n == 0:
         return IndependenceResult(0, (), True, 0)
+    if upper_bound is None:
+        upper_bound = n + 1  # never reached
 
     if transitive_symmetries is not None:
         if seed_witness is not None:
@@ -473,7 +584,7 @@ def independence_number(g: ChannelGraph,
         for p in perms:
             if not is_automorphism(g, p):
                 raise ValueError("symmetry is not a graph automorphism")
-        return _alpha_by_transitivity(g, perms, node_budget)
+        return _alpha_by_transitivity(g, perms, node_budget, upper_bound=upper_bound)
 
     best_set = _greedy_independent_set(masks, n)
     if seed_witness is not None:
@@ -485,39 +596,44 @@ def independence_number(g: ChannelGraph,
             blocked |= masks[v] | (1 << v)
         if len(seed) > len(best_set):
             best_set = seed
-    best = len(best_set)
-    nodes = 0
+    res = _search(masks, n, best_set, 0, node_budget, upper_bound)
+    if res.exact and n <= lexmin_max_vertices:
+        res.witness = tuple(_lexmin_refine(masks, n, res.alpha, list(res.witness)))
+    return res
 
-    def expand(cand: int, chosen: list[int]) -> None:
-        nonlocal best, best_set, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise _Budget
-        order = _clique_cover(masks, cand)
-        size = len(chosen)
-        for v, k in reversed(order):
-            if size + k <= best:
-                return
-            cand &= ~(1 << v)
-            chosen.append(v)
-            if size + 1 > best:
-                best = size + 1
-                best_set = sorted(chosen)
-            sub = cand & ~masks[v]
-            if sub:
-                expand(sub, chosen)
-            chosen.pop()
 
-    exact = True
-    try:
-        expand((1 << n) - 1, [])
-    except _Budget:
-        exact = False
+def cover_weight(g: ChannelGraph, transitive: bool,
+                 node_budget: int = 10 ** 8) -> Fraction:
+    """The weight of a fractional clique cover of g: at least its fractional
+    clique cover number.
 
-    if exact and n <= lexmin_max_vertices:
-        best_set = _lexmin_refine(masks, n, best, best_set)
+    For a vertex-transitive g (``transitive``) that number is |V|/omega(g),
+    with omega the independence number of the complement, searched exactly;
+    a search cut by ``node_budget`` gives a smaller omega and so still a
+    valid, weaker weight.  Otherwise the weight is the number of classes of
+    the greedy clique cover of all vertices, an integral cover.
+    """
+    n = g.vertex_count
+    if not transitive:
+        order = _clique_cover(g.neighbor_masks, (1 << n) - 1)
+        return Fraction(order[-1][1] if order else 0)
+    full = (1 << n) - 1
+    co = ChannelGraph(g.labels, tuple(full & ~m & ~(1 << v)
+                                      for v, m in enumerate(g.neighbor_masks)))
+    omega = independence_number(co, node_budget=node_budget, lexmin_max_vertices=0)
+    return Fraction(n, omega.alpha)
 
-    return IndependenceResult(best, tuple(best_set), exact, nodes)
+
+def section_bound(weight: Fraction, alpha_rest: int) -> int:
+    """floor(weight * alpha_rest), a bound on alpha(F boxtimes H).
+
+    ``weight`` is that of a fractional clique cover of F and ``alpha_rest``
+    is at least alpha(H).  The sections of an independent set of F boxtimes
+    H over the vertices of one clique of F are jointly independent in H, so
+    their sizes sum to at most alpha(H); weighting the cliques of the cover
+    and summing gives the bound (Shannon, 1956).
+    """
+    return weight.numerator * alpha_rest // weight.denominator
 
 
 def cycle_product_independence(n: int, h: ChannelGraph,
@@ -525,16 +641,14 @@ def cycle_product_independence(n: int, h: ChannelGraph,
                                seed_witness: Optional[Sequence[int]] = None) -> IndependenceResult:
     """alpha of cycle(n) boxtimes h, using the cycle's edge structure.
 
-    For an independent set S of the product with sections S_u over cycle
-    positions, every cyclic edge (u, u+1) forces S_u and S_{u+1} to be
-    disjoint and jointly independent in h, so |S_u| + |S_{u+1}| <= alpha(h).
-    Summing over the n edges counts each section twice, giving
-    2|S| <= n * alpha(h).  When a witness of size floor(n * alpha(h) / 2)
-    is known, the value is exact without searching the product graph; the
-    only branch-and-bound run is the one proving alpha(h).
+    The edges of cycle(n), each weighted 1/2, cover every vertex once, so
+    the section bound gives alpha <= floor(n * alpha(h) / 2).  When a
+    witness of that size is known, the value is exact without searching the
+    product graph; the only branch-and-bound run is the one proving
+    alpha(h).
 
-    Falls back to a direct search of the product when the ceiling is not
-    attained, returning whatever that search can certify.
+    Otherwise a direct search of the product, stopping at the bound,
+    returns whatever it can certify.
     """
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
@@ -548,34 +662,53 @@ def cycle_product_independence(n: int, h: ChannelGraph,
             if blocked >> v & 1:
                 raise ValueError("seed witness is not an independent set")
             blocked |= product.neighbor_masks[v] | (1 << v)
-    if rh.exact:
-        bound = n * rh.alpha // 2
-        if len(incumbent) == bound:
-            return IndependenceResult(bound, tuple(incumbent), True, rh.nodes)
+    bound = section_bound(Fraction(n, 2), rh.alpha) if rh.exact else None
+    if len(incumbent) == bound:
+        return IndependenceResult(bound, tuple(incumbent), True, rh.nodes)
     res = independence_number(product, node_budget=node_budget,
-                              seed_witness=incumbent or None)
-    if rh.exact:
-        bound = n * rh.alpha // 2
-        if res.alpha == bound:
-            return IndependenceResult(bound, res.witness, True,
-                                      res.nodes + rh.nodes)
+                              seed_witness=incumbent or None, upper_bound=bound)
+    if res.alpha == bound:
+        return IndependenceResult(bound, res.witness, True, res.nodes + rh.nodes)
     return res
 
 
 def _alpha_by_transitivity(g: ChannelGraph, perms: Sequence[Sequence[int]],
-                           node_budget: int) -> IndependenceResult:
+                           node_budget: int, lower: int = 0,
+                           upper_bound: Optional[int] = None,
+                           swaps: Sequence[Sequence[int]] = ()) -> IndependenceResult:
     """Fix vertex 0 in the solution; ``perms`` must be automorphisms of g.
 
     Callers verify them (independence_number) or build them as lifts of
-    verified factor automorphisms (automata.channel_series_prefix).
+    verified factor automorphisms (automata.channel_series_prefix).  The
+    search of the non-neighbours of 0 then looks for more than ``lower`` - 1
+    vertices and stops at ``upper_bound`` - 1.  ``swaps`` are automorphisms
+    that fix vertex 0 (coordinate_swaps); the root branches on one vertex
+    per orbit of the group they generate.  A ``lower`` known without a
+    witness stays the result unless the search beats it, and then the
+    witness is shorter than alpha.
     """
     n = g.vertex_count
     if len(_orbit(perms, 0)) != n:
         raise ValueError("symmetries do not act transitively on the vertices")
+    if upper_bound is None:
+        upper_bound = n + 1
     closed = g.neighbor_masks[0] | 1
     sub, old = induced_subgraph(
         g, [v for v in range(n) if not closed >> v & 1])
-    res = independence_number(sub, node_budget=node_budget, lexmin_max_vertices=0)
+    orbits = None
+    if swaps:
+        # the swaps fix 0, so they map its non-neighbours onto themselves
+        new = {v: i for i, v in enumerate(old)}
+        orbits = [0] * len(old)
+        for i, v in enumerate(old):
+            if not orbits[i]:
+                members = [new[w] for w in _orbit(swaps, v)]
+                mask = sum(1 << j for j in members)
+                for j in members:
+                    orbits[j] = mask
+    masks = sub.neighbor_masks
+    res = _search(masks, len(old), _greedy_independent_set(masks, len(old)),
+                  lower - 1, node_budget, upper_bound - 1, orbits)
     witness = tuple(sorted([0] + [old[i] for i in res.witness]))
     return IndependenceResult(res.alpha + 1, witness, res.exact, res.nodes)
 

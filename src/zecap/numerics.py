@@ -160,15 +160,15 @@ class RationalFraction:
     def __init__(self, numerator: IntPolynomial, denominator: IntPolynomial):
         if denominator.is_zero:
             raise ZeroDivisionError("rational fraction with zero denominator")
+        numerator, denominator = _cancel(numerator, denominator)
+        self._set(numerator, denominator)
+
+    def _set(self, numerator: IntPolynomial, denominator: IntPolynomial) -> None:
+        """Store polynomials without a common factor of positive degree,
+        after dividing out their common content and fixing the sign."""
         if numerator.is_zero:
             numerator, denominator = IntPolynomial([]), IntPolynomial([1])
         else:
-            # a constant side has polynomial gcd 1: the content step suffices
-            if numerator.degree > 0 and denominator.degree > 0:
-                g = polynomial_gcd(numerator, denominator)
-                if g.degree > 0:
-                    numerator = _exact_div(numerator, g)
-                    denominator = _exact_div(denominator, g)
             c = math.gcd(numerator.content(), denominator.content())
             if c > 1:
                 numerator = IntPolynomial([x // c for x in numerator.coefficients])
@@ -179,6 +179,14 @@ class RationalFraction:
                 denominator = denominator.scale(-1)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
+
+    @staticmethod
+    def _coprime(numerator: IntPolynomial, denominator: IntPolynomial) -> "RationalFraction":
+        """The fraction of polynomials known to have no common factor of
+        positive degree: no gcd is taken."""
+        f = object.__new__(RationalFraction)
+        f._set(numerator, denominator)
+        return f
 
     @staticmethod
     def from_int(k: int) -> "RationalFraction":
@@ -196,8 +204,11 @@ class RationalFraction:
             self.denominator * other.denominator)
 
     def __mul__(self, other: "RationalFraction") -> "RationalFraction":
-        return RationalFraction(self.numerator * other.numerator,
-                                self.denominator * other.denominator)
+        # both factors are in lowest terms, so a common factor of the
+        # product pairs one numerator with the other denominator
+        n1, d2 = _cancel(self.numerator, other.denominator)
+        n2, d1 = _cancel(other.numerator, self.denominator)
+        return RationalFraction._coprime(n1 * n2, d1 * d2)
 
     def __sub__(self, other: "RationalFraction") -> "RationalFraction":
         return self + RationalFraction(other.numerator.scale(-1), other.denominator)
@@ -212,7 +223,8 @@ class RationalFraction:
         """1/(1 - f); requires f(0) = 0 so the series is well defined."""
         if self.numerator.constant_term() != 0:
             raise ValueError("star of a series with nonzero constant term")
-        return RationalFraction(self.denominator, self.denominator - self.numerator)
+        # gcd(d, d - n) = gcd(d, n) = 1
+        return RationalFraction._coprime(self.denominator, self.denominator - self.numerator)
 
     def value_at_zero(self) -> Fraction:
         d = self.denominator.constant_term()
@@ -226,6 +238,16 @@ class RationalFraction:
         if self.denominator.degree == 0 and self.denominator.leading() == 1:
             return num
         return f"({num}) / ({den})"
+
+
+def _cancel(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """a and b divided by their polynomial gcd, when it has positive degree."""
+    # a constant or zero side leaves nothing of positive degree to divide out
+    if a.degree > 0 and b.degree > 0:
+        g = polynomial_gcd(a, b)
+        if g.degree > 0:
+            return _exact_div(a, g), _exact_div(b, g)
+    return a, b
 
 
 def _exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -315,7 +337,11 @@ def unique_positive_root(p: IntPolynomial) -> float:
 
 def aberth_roots(p: IntPolynomial, tol: float = ABERTH_TOL,
                  max_iter: int = ABERTH_MAX_ITER) -> list[complex]:
-    """All complex roots by simultaneous (Aberth-Ehrlich) iteration."""
+    """All complex roots by simultaneous (Aberth-Ehrlich) iteration.
+
+    ArithmeticError when no step of ``max_iter`` moves every root by less
+    than ``tol``.
+    """
     if p.degree < 1:
         raise ValueError("need a non-constant polynomial")
     coeffs = list(p.coefficients)
@@ -351,6 +377,8 @@ def aberth_roots(p: IntPolynomial, tol: float = ABERTH_TOL,
         zs = [z - w for z, w in zip(zs, offsets)]
         if max(abs(w) for w in offsets) < tol:
             break
+    else:
+        raise ArithmeticError(f"Aberth iteration did not converge in {max_iter} steps")
     for _ in range(5):  # Newton polish
         zs = [z - horner(coeffs, z) / horner(dp, z) if horner(dp, z) != 0 else z
               for z in zs]

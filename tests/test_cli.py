@@ -195,6 +195,23 @@ def test_alpha_c5_plus_one_cubed_is_exact(capsys):
     assert all(data["exact"])
 
 
+def test_alpha_c5_fourth_power_closes_at_the_section_bound(capsys):
+    # seed alpha(C5^2)^2 = 25 meets the section bound floor(5/2 * 10) = 25
+    code, out, _ = run(capsys, "alpha", "--graph", "C5", "--L", "4", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["alpha"] == [1, 2, 5, 10, 25]
+    assert all(data["exact"])
+
+
+def test_alpha_c5_plus_one_fourth_power_is_exact(capsys):
+    code, out, _ = run(capsys, "alpha", "--graph", "C5+1", "--L", "4", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["alpha"] == [1, 3, 10, 32, 104]
+    assert all(data["exact"])
+
+
 def test_budget_exit_code_on_a_disconnected_graph(capsys):
     # (C7+1)^2 = C7 x C7 + 2 C7 + K1: the C7 x C7 part runs out of nodes
     code, out, _ = run(capsys, "alpha", "--graph", "C7+1", "--L", "2",

@@ -1,20 +1,24 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zecap import automata
 from zecap.automata import channel_series_prefix
-from zecap.graphs import (BudgetExceededError, ChannelGraph, _clique_cover,
-                          complete, cycle, cycle_power_symmetries,
-                          cycle_product_independence, disjoint_union,
-                          distinguishable, graph_by_name, independence_number,
-                          induced_subgraph, is_automorphism,
-                          lift_automorphisms, one_vertex, path, strong_power,
-                          strong_product, transitive_automorphisms, zero_graph)
+from zecap.graphs import (BudgetExceededError, ChannelGraph, _alpha_by_transitivity,
+                          _clique_cover, complete, connected_components,
+                          coordinate_swaps, cover_weight, cycle,
+                          cycle_power_symmetries, cycle_product_independence,
+                          disjoint_union, distinguishable, graph_by_name,
+                          independence_number, induced_subgraph, is_automorphism,
+                          lift_automorphisms, one_vertex, path, section_bound,
+                          strong_power, strong_product, transitive_automorphisms,
+                          zero_graph)
 
 
 def to_networkx(g: ChannelGraph) -> nx.Graph:
@@ -420,14 +424,111 @@ def test_channel_series_prefix_matches_plain_on_shuffled_unions(case):
 
 
 def test_products_of_one_power_share_the_node_budget():
-    # each of the three products C7 x C7 of level 2 takes 55 nodes
+    # each of the three products C7 x C7 of level 2 takes 9 nodes to reach
+    # its section bound floor(7/2 * 3) = 10 from the seed 3 * 3 = 9
     g = disjoint_union(cycle(7), cycle(7))
-    assert channel_series_prefix(g, 2, node_budget=165) == \
+    assert channel_series_prefix(g, 2, node_budget=27) == \
         channel_series_prefix(g, 2)
     assert channel_series_prefix(g, 2).terms == (1, 6, 40)
-    prefix = channel_series_prefix(g, 2, node_budget=164)
+    prefix = channel_series_prefix(g, 2, node_budget=26)
     assert prefix.exact == (True, True, False) and prefix.terms[2] <= 40
     assert channel_series_prefix(g, 1, node_budget=1).exact == (True, False)
+
+
+def test_cover_weights_and_section_bounds():
+    assert cover_weight(cycle(5), True) == Fraction(5, 2)
+    assert cover_weight(cycle(7), True) == Fraction(7, 2)
+    assert cover_weight(complete(4), True) == 1
+    assert cover_weight(path(3), False) == 2
+    assert cover_weight(graph_by_name("C5+1"), False) == 4
+    assert section_bound(Fraction(7, 2), 3) == 10  # C7 x C7
+    assert section_bound(Fraction(5, 2), 5) == 12  # C5 x C5^2
+    assert section_bound(Fraction(5, 2), 10) == 25  # C5 x C5^3
+
+
+@st.composite
+def graphs_plus_isolated(draw):
+    """A random graph on 1-6 vertices and an isolated vertex, and a power."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g = random_graph(rng, draw(st.integers(1, 6)), draw(st.floats(0, 1)))
+    return disjoint_union(g, one_vertex("z")), draw(st.integers(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(shuffled_unions(), graphs_plus_isolated()))
+def test_seed_and_section_bound_enclose_alpha_of_every_product(case):
+    g, l = case
+    comps = [induced_subgraph(g, c)[0] for c in connected_components(g) if len(c) > 1]
+    seen = []
+    bounds = automata._bounds
+
+    def record(key, *rest):
+        seen.append((key, bounds(key, *rest)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_bounds", record)
+        channel_series_prefix(g, l)
+    assert [key for key, _ in seen] == [
+        key for j in range(1, l + 1)
+        for key in itertools.combinations_with_replacement(range(len(comps)), j)]
+    for key, (seed, cap) in seen:
+        product = comps[key[0]]
+        for i in key[1:]:
+            product = strong_product(product, comps[i])
+        assert seed <= independence_number(product).alpha <= cap
+
+
+def test_coordinate_swaps_are_automorphisms_fixing_vertex_0():
+    c5, c7 = cycle(5), cycle(7)
+    for factors in ([c5, c5, c7], [c7, c5, c5], [c5, c7, c7], [c5, c5, c5],
+                    [path(3), path(3)], [c5, c7]):
+        product = factors[0]
+        for f in factors[1:]:
+            product = strong_product(product, f)
+        swaps = coordinate_swaps(factors)
+        assert len(swaps) == sum(a == b for a, b in zip(factors, factors[1:]))
+        assert all(is_automorphism(product, p) and p[0] == 0 for p in swaps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 8), st.sets(st.integers(1, 3), min_size=1), st.integers(2, 3))
+def test_orbit_branching_keeps_alpha(n, steps, l):
+    g = circulant(n, steps)
+    l = min(l, 2 if n > 5 else 3)
+    power = strong_power(g, l)
+    lifts = lift_automorphisms(transitive_automorphisms(g), l)
+    plain = _alpha_by_transitivity(power, lifts, 10 ** 8)
+    orbits = _alpha_by_transitivity(power, lifts, 10 ** 8,
+                                    swaps=coordinate_swaps([g] * l))
+    assert orbits.alpha == plain.alpha == len(orbits.witness)
+    assert orbits.exact and plain.exact
+    assert all(not power.has_edge(u, v)
+               for u, v in itertools.combinations(orbits.witness, 2))
+
+
+def test_orbit_branching_on_the_pentagon_cube():
+    # from the seed 2 * 5 = 10 to the section bound floor(5/2 * 5) = 12: the
+    # coordinate swaps take the search from 22,757 nodes to 6,799
+    c5 = cycle(5)
+    power = strong_power(c5, 3)
+    args = (power, cycle_power_symmetries(5, 3), 10 ** 8, 10, 12)
+    res = _alpha_by_transitivity(*args, swaps=coordinate_swaps([c5] * 3))
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 6799)
+    res = _alpha_by_transitivity(*args)
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 22757)
+
+
+def test_search_stops_at_the_upper_bound():
+    g = strong_power(cycle(5), 2)
+    plain = independence_number(g)
+    capped = independence_number(g, upper_bound=5)
+    assert (plain.alpha, plain.exact, plain.nodes) == (5, True, 20)
+    assert (capped.alpha, capped.exact, capped.nodes) == (5, True, 11)
+    assert capped.witness == plain.witness  # both lexicographically least
+    res = independence_number(strong_power(cycle(5), 3), upper_bound=10,
+                              transitive_symmetries=cycle_power_symmetries(5, 3))
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 19)
 
 
 def test_transitive_automorphisms():

@@ -111,6 +111,11 @@ def test_aberth_roots_random_products():
             assert b == pytest.approx(a, abs=1e-7)
 
 
+def test_aberth_reports_no_convergence():
+    with pytest.raises(ArithmeticError):
+        aberth_roots(P(-6, -1, 1), max_iter=1)
+
+
 def test_aberth_handles_roots_at_origin():
     roots = aberth_roots(P(0, 0, -1, 1))  # X^2 (X - 1)
     zeros = [r for r in roots if abs(r) < 1e-9]
@@ -437,3 +442,19 @@ def test_sum_over_one_denominator_matches_cross_multiplication(a, b, d):
     f = RationalFraction(a, d) + RationalFraction(b, d)
     want = RationalFraction(a * d + b * d, d * d)
     assert (f.numerator, f.denominator) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials, nonzero_polynomials, polynomials, nonzero_polynomials,
+       st.sampled_from([1, -1, 2, -2, 3]))
+def test_product_and_star_match_the_gcd_constructor(n1, d1, n2, d2, d0):
+    # both take fewer gcds than the constructor: the factors are in lowest
+    # terms, and gcd(d, d - n) = gcd(d, n) = 1
+    f, g = RationalFraction(n1, d1), RationalFraction(n2, d2)
+    got = f * g
+    want = RationalFraction(f.numerator * g.numerator, f.denominator * g.denominator)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    h = RationalFraction(n1 * P(0, 1), P(d0) + d1 * P(0, 1))  # h(0) = 0
+    got = h.star()
+    want = RationalFraction(h.denominator, h.denominator - h.numerator)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
