@@ -11,10 +11,9 @@ from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence, Union as TyUnion
 
 from .graphs import (ChannelGraph, _alpha_by_transitivity, _check_power_size,
-                     _greedy_independent_set, _search, connected_components,
-                     coordinate_swaps, cover_weight, induced_subgraph,
-                     lift_automorphisms, section_bound, strong_product,
-                     transitive_automorphisms)
+                     connected_components, coordinate_swaps, cover_weight,
+                     independence_number, induced_subgraph, lift_automorphisms,
+                     section_bound, strong_product, transitive_automorphisms)
 from .numerics import (RationalFraction, count_walks, series_coefficients,
                        smallest_positive_root)
 
@@ -487,13 +486,18 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
     automorphisms by construction, so the search fixes vertex 0 without
     checking them again on the product, and branches at its root on one
     vertex per orbit of the swaps of equal factors.  Any other product gets
-    the plain search.  The products of one level share ``node_budget``.  For
-    a connected G the only product of level l is G's l-th power.
+    the plain search.  The products of one level share ``node_budget``, and
+    the searches for the factors' weights count against level 1.  For a
+    connected G the only product of level l is G's l-th power.
     """
     comps = [induced_subgraph(g, c)[0] for c in connected_components(g) if len(c) > 1]
     isolated = g.vertex_count - sum(f.vertex_count for f in comps)
     perms = [transitive_automorphisms(f) for f in comps]
-    weights = [cover_weight(f, p is not None, node_budget) for f, p in zip(comps, perms)]
+    weights, spent = [], 0
+    for f, p in zip(comps, perms):
+        w, nodes = cover_weight(f, p is not None, node_budget - spent)
+        weights.append(w)
+        spent += nodes
     # proven bounds lower[P] <= alpha(P) <= upper[P], by sorted factor tuple P
     lower: dict[tuple[int, ...], int] = {(): 1}
     upper: dict[tuple[int, ...], int] = {(): 1}
@@ -509,7 +513,7 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
     terms, exact = [1], [True]
     for l in range(1, up_to + 1):
         _check_power_size(g, l, max_vertices)
-        total, level_exact, spent = 0, True, 0
+        total, level_exact = 0, True
         for key in combinations_with_replacement(range(len(comps)), l):
             seed, cap = _bounds(key, lower, upper, weights)
             res_exact = True
@@ -521,12 +525,10 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
                         node_budget - spent, seed, cap,
                         coordinate_swaps([comps[i] for i in key]))
                 else:
-                    masks = p.neighbor_masks
-                    n = p.vertex_count
-                    res = _search(masks, n, _greedy_independent_set(masks, n), seed,
-                                  node_budget - spent, cap)
+                    res = independence_number(p, node_budget - spent,
+                                              lexmin_max_vertices=0, upper_bound=cap)
                 spent += res.nodes
-                seed, res_exact = res.alpha, res.exact
+                seed, res_exact = max(seed, res.alpha), res.exact
                 if res_exact:
                     cap = res.alpha
             lower[key], upper[key] = seed, cap
@@ -537,6 +539,7 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
         a_exact.append(level_exact)
         terms.append(sum(math.comb(l, j) * isolated ** (l - j) * a[j] for j in range(l + 1)))
         exact.append(all(a_exact[j] for j in range(l + 1) if isolated or j == l))
+        spent = 0
     return ChannelSeriesPrefix(tuple(terms), tuple(exact))
 
 

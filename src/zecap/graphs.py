@@ -489,7 +489,9 @@ def _search(masks: Sequence[int], n: int, best_set: list[int], lower: int,
         return IndependenceResult(best, tuple(best_set), True, 0)
     nodes = 0
 
-    def expand(cand: int, chosen: list[int]) -> None:
+    def expand(cand: int, chosen: list[int],
+               orbit_of: Optional[Sequence[int]] = None) -> None:
+        # orbit_of, given at the root only, drops each orbit after its branch
         nonlocal best, best_set, nodes
         nodes += 1
         if nodes > node_budget:
@@ -499,6 +501,8 @@ def _search(masks: Sequence[int], n: int, best_set: list[int], lower: int,
         order = _clique_cover(masks, cand)
         size = len(chosen)
         for v, k in reversed(order):
+            if not cand >> v & 1:  # dropped with an orbit
+                continue
             if size + k <= best:
                 return
             cand &= ~(1 << v)
@@ -512,33 +516,12 @@ def _search(masks: Sequence[int], n: int, best_set: list[int], lower: int,
             if sub:
                 expand(sub, chosen)
             chosen.pop()
-
-    def branch_on_orbits(cand: int) -> None:
-        nonlocal best, best_set, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise _Budget
-        if best >= upper_bound:
-            raise _Reached
-        # the candidates left at v lie in v's clique class or a lower one
-        for v, k in reversed(_clique_cover(masks, cand)):
-            if not cand >> v & 1:  # dropped with an orbit
-                continue
-            if k <= best:
-                return
-            if best < 1:
-                best, best_set = 1, [v]
-            sub = cand & ~masks[v] & ~(1 << v)
-            if sub:
-                expand(sub, [v])
-            cand &= ~orbits[v]
+            if orbit_of:
+                cand &= ~orbit_of[v]
 
     exact = True
     try:
-        if orbits is None:
-            expand((1 << n) - 1, [])
-        else:
-            branch_on_orbits((1 << n) - 1)
+        expand((1 << n) - 1, [], orbits)
     except _Budget:
         exact = False
     except _Reached:
@@ -603,9 +586,9 @@ def independence_number(g: ChannelGraph,
 
 
 def cover_weight(g: ChannelGraph, transitive: bool,
-                 node_budget: int = 10 ** 8) -> Fraction:
-    """The weight of a fractional clique cover of g: at least its fractional
-    clique cover number.
+                 node_budget: int = 10 ** 8) -> tuple[Fraction, int]:
+    """The weight of a fractional clique cover of g, at least its fractional
+    clique cover number, and the branch-and-bound nodes spent finding it.
 
     For a vertex-transitive g (``transitive``) that number is |V|/omega(g),
     with omega the independence number of the complement, searched exactly;
@@ -616,12 +599,12 @@ def cover_weight(g: ChannelGraph, transitive: bool,
     n = g.vertex_count
     if not transitive:
         order = _clique_cover(g.neighbor_masks, (1 << n) - 1)
-        return Fraction(order[-1][1] if order else 0)
+        return Fraction(order[-1][1] if order else 0), 0
     full = (1 << n) - 1
     co = ChannelGraph(g.labels, tuple(full & ~m & ~(1 << v)
                                       for v, m in enumerate(g.neighbor_masks)))
     omega = independence_number(co, node_budget=node_budget, lexmin_max_vertices=0)
-    return Fraction(n, omega.alpha)
+    return Fraction(n, omega.alpha), omega.nodes
 
 
 def section_bound(weight: Fraction, alpha_rest: int) -> int:

@@ -436,11 +436,11 @@ def test_products_of_one_power_share_the_node_budget():
 
 
 def test_cover_weights_and_section_bounds():
-    assert cover_weight(cycle(5), True) == Fraction(5, 2)
-    assert cover_weight(cycle(7), True) == Fraction(7, 2)
-    assert cover_weight(complete(4), True) == 1
-    assert cover_weight(path(3), False) == 2
-    assert cover_weight(graph_by_name("C5+1"), False) == 4
+    assert cover_weight(cycle(5), True)[0] == Fraction(5, 2)
+    assert cover_weight(cycle(7), True)[0] == Fraction(7, 2)
+    assert cover_weight(complete(4), True)[0] == 1
+    assert cover_weight(path(3), False) == (2, 0)
+    assert cover_weight(graph_by_name("C5+1"), False) == (4, 0)
     assert section_bound(Fraction(7, 2), 3) == 10  # C7 x C7
     assert section_bound(Fraction(5, 2), 5) == 12  # C5 x C5^2
     assert section_bound(Fraction(5, 2), 10) == 25  # C5 x C5^3
@@ -589,3 +589,9 @@ def test_alpha_seed_witness_and_symmetries_are_exclusive():
     with pytest.raises(ValueError):
         independence_number(cycle(5), seed_witness=[0, 2],
                             transitive_symmetries=cycle_power_symmetries(5, 1))
+
+
+def test_weight_searches_count_against_the_first_power():
+    # the clique search on the complement of C5 takes 2 nodes, alpha(C5) 1
+    assert channel_series_prefix(cycle(5), 1, node_budget=3).exact == (True, True)
+    assert channel_series_prefix(cycle(5), 1, node_budget=2).exact == (True, False)
