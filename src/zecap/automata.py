@@ -10,9 +10,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence, Union as TyUnion
 
-from .graphs import (ChannelGraph, _alpha_by_transitivity, _check_power_size,
-                     connected_components, coordinate_swaps, cover_weight,
-                     independence_number, induced_subgraph, lift_automorphisms,
+from .graphs import (ChannelGraph, _alpha, _check_power_size, connected_components,
+                     coordinate_swaps, cover_weight, induced_subgraph, lift_automorphisms,
                      section_bound, strong_product, transitive_automorphisms)
 from .numerics import (RationalFraction, count_walks, series_coefficients,
                        smallest_positive_root)
@@ -518,17 +517,12 @@ def channel_series_prefix(g: ChannelGraph, up_to: int,
             seed, cap = _bounds(key, lower, upper, weights)
             res_exact = True
             if seed < cap:
-                p = product(key)
-                if all(perms[i] for i in key):
-                    res = _alpha_by_transitivity(
-                        p, lift_automorphisms([perms[i] for i in key]),
-                        node_budget - spent, seed, cap,
-                        coordinate_swaps([comps[i] for i in key]))
-                else:
-                    res = independence_number(p, node_budget - spent,
-                                              lexmin_max_vertices=0, upper_bound=cap)
+                factor_perms = [perms[i] for i in key]
+                lifts = lift_automorphisms(factor_perms) if all(factor_perms) else None
+                res = _alpha(product(key), lifts, node_budget - spent, seed, cap,
+                             coordinate_swaps([comps[i] for i in key]))
                 spent += res.nodes
-                seed, res_exact = max(seed, res.alpha), res.exact
+                seed, res_exact = res.alpha, res.exact
                 if res_exact:
                     cap = res.alpha
             lower[key], upper[key] = seed, cap

@@ -423,15 +423,17 @@ class IndependenceResult:
         return iter((self.alpha, self.witness))
 
 
-def _greedy_independent_set(masks: Sequence[int], n: int) -> list[int]:
-    order = sorted(range(n), key=lambda v: (masks[v].bit_count(), v))
+def _greedy_independent_set(masks: Sequence[int], cand: int) -> list[int]:
+    """An independent set within ``cand``, taking low degrees inside it first."""
+    order = sorted((v for v in range(cand.bit_length()) if cand >> v & 1),
+                   key=lambda v: ((masks[v] & cand).bit_count(), v))
     chosen = []
     blocked = 0
     for v in order:
         if not blocked >> v & 1:
             chosen.append(v)
             blocked |= masks[v] | (1 << v)
-    return sorted(chosen)
+    return chosen
 
 
 def _clique_cover(masks: Sequence[int], cand: int) -> list[tuple[int, int]]:
@@ -467,30 +469,37 @@ class _Reached(Exception):
     pass
 
 
-def _search(masks: Sequence[int], n: int, best_set: list[int], lower: int,
-            node_budget: int, upper_bound: int,
-            orbits: Optional[Sequence[int]] = None) -> IndependenceResult:
-    """Branch and bound for an independent set larger than ``lower``.
+def _search(masks: Sequence[int], cand: int, prefix: list[int], lower: int,
+            node_budget: float, upper_bound: Optional[int] = None,
+            orbits: Optional[dict[int, int]] = None) -> IndependenceResult:
+    """Branch and bound for an independent set larger than ``lower`` that
+    extends the independent ``prefix`` by vertices of the mask ``cand``, none
+    of them adjacent to the prefix.
 
     Each node bounds its candidates by a greedy clique cover.  The search
     ends when it has refuted every larger set (exact), when its incumbent
     reaches ``upper_bound`` (exact, the caller's bound being proven), or
-    after ``node_budget`` nodes (not exact).  ``best_set`` is the incumbent
-    to beat; ``lower`` may exceed its size when it is a value known without
-    a witness, and then stays the result unless the search beats it.
+    after ``node_budget`` nodes (not exact).  The first incumbent is the
+    prefix and a greedy set in ``cand``; ``lower`` may exceed its size when
+    it is a value known without a witness, and then stays the result unless
+    the search beats it.
 
-    ``orbits`` maps each vertex to the mask of its orbit under automorphisms
-    of the graph; the root then branches on one vertex per orbit.  After the
-    branch that takes v, the branches still to come exclude all of v's
-    orbit: a larger set that meets the orbit maps onto one that takes v.
+    ``orbits`` maps each candidate to the mask of its orbit under
+    automorphisms of the graph that fix the prefix; the root then branches
+    on one vertex per orbit.  After the branch that takes v, the branches
+    still to come exclude all of v's orbit: a larger set that meets the
+    orbit maps onto one that takes v.
     """
+    best_set = sorted(prefix + _greedy_independent_set(masks, cand))
     best = max(lower, len(best_set))
-    if not n:
+    if not cand:
         return IndependenceResult(best, tuple(best_set), True, 0)
+    if upper_bound is None:
+        upper_bound = len(prefix) + cand.bit_count() + 1  # never reached
     nodes = 0
 
     def expand(cand: int, chosen: list[int],
-               orbit_of: Optional[Sequence[int]] = None) -> None:
+               orbit_of: Optional[dict[int, int]] = None) -> None:
         # orbit_of, given at the root only, drops each orbit after its branch
         nonlocal best, best_set, nodes
         nodes += 1
@@ -521,7 +530,7 @@ def _search(masks: Sequence[int], n: int, best_set: list[int], lower: int,
 
     exact = True
     try:
-        expand((1 << n) - 1, [], orbits)
+        expand(cand, list(prefix), orbits)
     except _Budget:
         exact = False
     except _Reached:
@@ -529,18 +538,37 @@ def _search(masks: Sequence[int], n: int, best_set: list[int], lower: int,
     return IndependenceResult(best, tuple(best_set), exact, nodes)
 
 
+def _checked_seed(g: ChannelGraph, seed_witness: Optional[Sequence[int]]) -> list[int]:
+    """``seed_witness`` sorted, once it is checked to be an independent set
+    of g; an empty list for None."""
+    seed = sorted(int(v) for v in seed_witness or ())
+    blocked = 0
+    for v in seed:
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"seed vertex {v} is out of range for "
+                             f"{g.vertex_count} vertices")
+        if blocked >> v & 1:
+            raise ValueError("seed witness is not an independent set")
+        blocked |= g.neighbor_masks[v] | (1 << v)
+    return seed
+
+
+# independence_number refines the witness of an exact search of a graph this
+# small to the lexicographically least maximum independent set
+_LEXMIN_MAX_VERTICES = 100
+
+
 def independence_number(g: ChannelGraph,
                         node_budget: int = 10 ** 8,
                         seed_witness: Optional[Sequence[int]] = None,
-                        lexmin_max_vertices: int = 100,
                         transitive_symmetries: Optional[Sequence[Sequence[int]]] = None,
                         upper_bound: Optional[int] = None) -> IndependenceResult:
     """Exact maximum independent set by branch-and-bound with bitset masks.
 
     The bound is a greedy clique cover of the candidate set.  On budget
-    exhaustion the best incumbent is returned with ``exact=False``.  For small
-    graphs (``lexmin_max_vertices``) the witness is refined to the
-    lexicographically least maximum independent set.
+    exhaustion the best incumbent is returned with ``exact=False``.  An exact
+    search of a graph of at most 100 vertices without ``transitive_symmetries``
+    returns the lexicographically least maximum independent set.
 
     ``transitive_symmetries`` takes permutations that are verified to be
     automorphisms acting transitively on the vertices; then some maximum
@@ -554,12 +582,9 @@ def independence_number(g: ChannelGraph,
     wrong answer.
     """
     n = g.vertex_count
-    masks = g.neighbor_masks
     if n == 0:
         return IndependenceResult(0, (), True, 0)
-    if upper_bound is None:
-        upper_bound = n + 1  # never reached
-
+    perms = None
     if transitive_symmetries is not None:
         if seed_witness is not None:
             raise ValueError("give seed_witness or transitive_symmetries, not both")
@@ -567,21 +592,29 @@ def independence_number(g: ChannelGraph,
         for p in perms:
             if not is_automorphism(g, p):
                 raise ValueError("symmetry is not a graph automorphism")
-        return _alpha_by_transitivity(g, perms, node_budget, upper_bound=upper_bound)
+    res = _alpha(g, perms, node_budget, 0, upper_bound, seed=_checked_seed(g, seed_witness))
+    if perms is None and res.exact and n <= _LEXMIN_MAX_VERTICES:
+        res.witness = tuple(_lexmin_refine(g.neighbor_masks, n, res.alpha))
+    return res
 
-    best_set = _greedy_independent_set(masks, n)
-    if seed_witness is not None:
-        seed = sorted(int(v) for v in seed_witness)
-        blocked = 0
-        for v in seed:
-            if blocked >> v & 1:
-                raise ValueError("seed witness is not an independent set")
-            blocked |= masks[v] | (1 << v)
-        if len(seed) > len(best_set):
-            best_set = seed
-    res = _search(masks, n, best_set, 0, node_budget, upper_bound)
-    if res.exact and n <= lexmin_max_vertices:
-        res.witness = tuple(_lexmin_refine(masks, n, res.alpha, list(res.witness)))
+
+def _alpha(g: ChannelGraph, perms: Optional[Sequence[Sequence[int]]],
+           node_budget: float, lower: int = 0, upper_bound: Optional[int] = None,
+           swaps: Sequence[Sequence[int]] = (), seed: Sequence[int] = ()) -> IndependenceResult:
+    """The one search behind every alpha: with vertex 0 fixed when ``perms``
+    are automorphisms acting transitively on g (_alpha_by_transitivity,
+    which alone takes ``swaps``), over all of g otherwise.  The result is at
+    least ``lower`` and the length of the independent ``seed``, which is its
+    witness unless the search beats it.
+    """
+    lower = max(lower, len(seed))
+    if perms is None:
+        res = _search(g.neighbor_masks, (1 << g.vertex_count) - 1, [], lower,
+                      node_budget, upper_bound)
+    else:
+        res = _alpha_by_transitivity(g, perms, node_budget, lower, upper_bound, swaps)
+    if len(res.witness) < len(seed):
+        res.witness = tuple(seed)
     return res
 
 
@@ -603,7 +636,7 @@ def cover_weight(g: ChannelGraph, transitive: bool,
     full = (1 << n) - 1
     co = ChannelGraph(g.labels, tuple(full & ~m & ~(1 << v)
                                       for v, m in enumerate(g.neighbor_masks)))
-    omega = independence_number(co, node_budget=node_budget, lexmin_max_vertices=0)
+    omega = _alpha(co, None, node_budget)
     return Fraction(n, omega.alpha), omega.nodes
 
 
@@ -622,82 +655,58 @@ def section_bound(weight: Fraction, alpha_rest: int) -> int:
 def cycle_product_independence(n: int, h: ChannelGraph,
                                node_budget: int = 10 ** 8,
                                seed_witness: Optional[Sequence[int]] = None) -> IndependenceResult:
-    """alpha of cycle(n) boxtimes h, using the cycle's edge structure.
-
-    The edges of cycle(n), each weighted 1/2, cover every vertex once, so
-    the section bound gives alpha <= floor(n * alpha(h) / 2).  When a
-    witness of that size is known, the value is exact without searching the
-    product graph; the only branch-and-bound run is the one proving
-    alpha(h).
-
-    Otherwise a direct search of the product, stopping at the bound,
-    returns whatever it can certify.
+    """alpha of cycle(n) boxtimes h, searched up to the section bound
+    floor(w alpha(h)), with w = cover_weight(cycle(n)): n/2, or 1 for the
+    triangle.  A seed of that size ends the product search at its root.
+    When transitive_automorphisms finds automorphisms of h, both
+    searches fix vertex 0, the product's by the lifts of the rotation of
+    cycle(n) and of h's automorphisms.
     """
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    product = strong_product(cycle(n), h)
-    rh = independence_number(h, node_budget=node_budget)
-    incumbent: list[int] = []
-    if seed_witness is not None:
-        incumbent = sorted(int(v) for v in seed_witness)
-        blocked = 0
-        for v in incumbent:
-            if blocked >> v & 1:
-                raise ValueError("seed witness is not an independent set")
-            blocked |= product.neighbor_masks[v] | (1 << v)
-    bound = section_bound(Fraction(n, 2), rh.alpha) if rh.exact else None
-    if len(incumbent) == bound:
-        return IndependenceResult(bound, tuple(incumbent), True, rh.nodes)
-    res = independence_number(product, node_budget=node_budget,
-                              seed_witness=incumbent or None, upper_bound=bound)
-    if res.alpha == bound:
-        return IndependenceResult(bound, res.witness, True, res.nodes + rh.nodes)
+    c = cycle(n)
+    product = strong_product(c, h)
+    seed = _checked_seed(product, seed_witness)
+    perms = transitive_automorphisms(h) or None
+    rh = _alpha(h, perms, node_budget)
+    weight, spent = cover_weight(c, True, node_budget - rh.nodes)
+    spent += rh.nodes
+    lifts = lift_automorphisms([cycle_power_symmetries(n, 1), perms]) if perms else None
+    res = _alpha(product, lifts, node_budget - spent, 0,
+                 section_bound(weight, rh.alpha) if rh.exact else None, seed=seed)
+    res.nodes += spent
     return res
 
 
 def _alpha_by_transitivity(g: ChannelGraph, perms: Sequence[Sequence[int]],
-                           node_budget: int, lower: int = 0,
+                           node_budget: float, lower: int = 0,
                            upper_bound: Optional[int] = None,
                            swaps: Sequence[Sequence[int]] = ()) -> IndependenceResult:
     """Fix vertex 0 in the solution; ``perms`` must be automorphisms of g.
 
     Callers verify them (independence_number) or build them as lifts of
-    verified factor automorphisms (automata.channel_series_prefix).  The
-    search of the non-neighbours of 0 then looks for more than ``lower`` - 1
-    vertices and stops at ``upper_bound`` - 1.  ``swaps`` are automorphisms
+    verified factor automorphisms (automata.channel_series_prefix).  Some
+    maximum independent set then contains 0, so the search extends the
+    prefix [0] by the non-neighbours of 0.  ``swaps`` are automorphisms
     that fix vertex 0 (coordinate_swaps); the root branches on one vertex
-    per orbit of the group they generate.  A ``lower`` known without a
-    witness stays the result unless the search beats it, and then the
-    witness is shorter than alpha.
+    per orbit of the group they generate.
     """
     n = g.vertex_count
     if len(_orbit(perms, 0)) != n:
         raise ValueError("symmetries do not act transitively on the vertices")
-    if upper_bound is None:
-        upper_bound = n + 1
-    closed = g.neighbor_masks[0] | 1
-    sub, old = induced_subgraph(
-        g, [v for v in range(n) if not closed >> v & 1])
+    root = (1 << n) - 1 & ~g.neighbor_masks[0] & ~1
     orbits = None
     if swaps:
         # the swaps fix 0, so they map its non-neighbours onto themselves
-        new = {v: i for i, v in enumerate(old)}
-        orbits = [0] * len(old)
-        for i, v in enumerate(old):
-            if not orbits[i]:
-                members = [new[w] for w in _orbit(swaps, v)]
-                mask = sum(1 << j for j in members)
-                for j in members:
-                    orbits[j] = mask
-    masks = sub.neighbor_masks
-    res = _search(masks, len(old), _greedy_independent_set(masks, len(old)),
-                  lower - 1, node_budget, upper_bound - 1, orbits)
-    witness = tuple(sorted([0] + [old[i] for i in res.witness]))
-    return IndependenceResult(res.alpha + 1, witness, res.exact, res.nodes)
+        orbits = {}
+        for v in range(n):
+            if root >> v & 1 and v not in orbits:
+                members = _orbit(swaps, v)
+                orbits.update(dict.fromkeys(members, sum(1 << w for w in members)))
+    return _search(g.neighbor_masks, root, [0], lower, node_budget, upper_bound, orbits)
 
 
-def _lexmin_refine(masks: Sequence[int], n: int, alpha: int,
-                   incumbent: list[int]) -> list[int]:
+def _lexmin_refine(masks: Sequence[int], n: int, alpha: int) -> list[int]:
     """Lexicographically least maximum independent set, given exact alpha."""
     prefix: list[int] = []
     cand = (1 << n) - 1
@@ -708,28 +717,14 @@ def _lexmin_refine(masks: Sequence[int], n: int, alpha: int,
             v = lsb.bit_length() - 1
             m ^= lsb
             trial_cand = cand & ~masks[v] & ~(1 << v)
-            if _exists_independent(masks, trial_cand, alpha - len(prefix) - 1):
+            # is there a maximum independent set that extends prefix + [v]?
+            if _search(masks, trial_cand, prefix + [v], alpha - 1, math.inf, alpha).alpha == alpha:
                 prefix.append(v)
                 cand = trial_cand
                 break
         else:
             raise AssertionError("lexmin refinement lost the optimum")
     return prefix
-
-
-def _exists_independent(masks: Sequence[int], cand: int, need: int) -> bool:
-    if need == 0:
-        return True
-    if cand.bit_count() < need:
-        return False
-    order = _clique_cover(masks, cand)
-    for v, k in reversed(order):
-        if k < need:
-            return False
-        cand &= ~(1 << v)
-        if _exists_independent(masks, cand & ~masks[v], need - 1):
-            return True
-    return False
 
 
 _NAMED = re.compile(r"^(C(?P<cyc>\d+)(?P<plus>\+1)?|K(?P<comp>\d+)|P(?P<pth>\d+))$")

@@ -595,3 +595,68 @@ def test_weight_searches_count_against_the_first_power():
     # the clique search on the complement of C5 takes 2 nodes, alpha(C5) 1
     assert channel_series_prefix(cycle(5), 1, node_budget=3).exact == (True, True)
     assert channel_series_prefix(cycle(5), 1, node_budget=2).exact == (True, False)
+
+
+def test_seed_witness_vertices_must_be_in_range():
+    c5 = cycle(5)
+    for call, top in ((lambda s: independence_number(c5, seed_witness=s), 5),
+                      (lambda s: cycle_product_independence(5, c5, seed_witness=s), 25)):
+        for v in (top, -1):
+            with pytest.raises(ValueError, match=f"seed vertex {v} is out of range"):
+                call([2, v])
+
+
+@st.composite
+def cycle_cofactors(draw):
+    """A cycle length n and a cofactor h with |V(h)| <= 60 / n: a random
+    circulant, which is vertex-transitive, or a random graph."""
+    n = draw(st.integers(3, 7))
+    m = draw(st.integers(1, 60 // n))
+    if draw(st.booleans()):
+        h = circulant(m, draw(st.sets(st.integers(1, max(1, m // 2)), min_size=1)))
+    else:
+        h = random_graph(random.Random(draw(st.integers(0, 2 ** 32))), m,
+                         draw(st.floats(0, 1)))
+    return n, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_cofactors())
+@example((3, cycle(5)))
+@example((5, strong_power(cycle(3), 2)))
+def test_cycle_product_independence_matches_plain_search_property(case):
+    n, h = case
+    product = strong_product(cycle(n), h)
+    res = cycle_product_independence(n, h)
+    plain = independence_number(product)
+    assert res.exact and plain.exact
+    assert res.alpha == plain.alpha == len(res.witness)
+    assert all(not product.has_edge(u, v)
+               for u, v in itertools.combinations(res.witness, 2))
+
+
+def test_cycle_product_independence_stops_at_the_floored_bound():
+    # floor(7/2 * 3) = 10 = alpha(C7 x C7): alpha(C7) takes 1 node, the
+    # weight's clique search 2 and the product search, vertex 0 fixed, 9
+    res = cycle_product_independence(7, cycle(7))
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 12)
+    assert cycle_product_independence(7, cycle(7), node_budget=12).exact
+    assert not cycle_product_independence(7, cycle(7), node_budget=11).exact
+
+
+def test_lexmin_refinement_stops_each_search_at_its_target(monkeypatch):
+    # each existence search of the refinement ends at the first set of the
+    # size it asks for; together they take 369 nodes on C7 x C7
+    import zecap.graphs
+    nodes = []
+    search = zecap.graphs._search
+
+    def counting(*args):
+        res = search(*args)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(zecap.graphs, "_search", counting)
+    res = independence_number(strong_power(cycle(7), 2))
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 1060)
+    assert nodes[0] == 1060 and sum(nodes[1:]) == 369
