@@ -12,10 +12,11 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 from .graphs import BudgetExceededError, Word
-from .numerics import count_walks, spectral_radius, trim
+from .numerics import count_walks, lump, spectral_radius, trim
 from .varlen import GeneratorSet
 
 State = tuple[int, ...]
@@ -39,18 +40,23 @@ class SuccessionRule:
 def varlen_rule() -> SuccessionRule:
     """Plain concatenation: everything from a closed state, else the open word."""
     def choose(state: State, gs: GeneratorSet) -> tuple[int, ...]:
-        if all(z == 0 for z in state):
+        if not any(state):
             return tuple(range(len(gs.words)))
-        return tuple(i for i, z in enumerate(state) if z != 0)
+        return tuple(compress(range(len(state)), state))
     return SuccessionRule("varlen", choose)
 
 
 def single_open_rule(hub: int = 0) -> SuccessionRule:
     """One designated hub word stays always available next to the open word."""
+    if hub < 0:
+        raise ValueError(f"hub index {hub} is negative")
+
     def choose(state: State, gs: GeneratorSet) -> tuple[int, ...]:
-        if all(z == 0 for i, z in enumerate(state) if i != hub):
+        if hub >= len(state):
+            raise ValueError(f"hub index {hub} is outside the {len(state)} words")
+        if not any(state[:hub]) and not any(state[hub + 1:]):
             return tuple(range(len(gs.words)))
-        return tuple(sorted({hub} | {i for i, z in enumerate(state) if z != 0}))
+        return tuple(sorted({hub, *compress(range(len(state)), state)}))
     return SuccessionRule("single-open", choose, {"hub": hub})
 
 
@@ -131,25 +137,24 @@ def build_transition_graph(gs: GeneratorSet, rule: SuccessionRule,
     index = {zero: 0}
     states = [zero]
     edges = []
-    queue = deque([zero])
-    while queue:
-        s = queue.popleft()
+    for i, s in enumerate(states):  # breadth first: states grows while read
         for wi in rule(s, gs):
             nxt, letter = _advance(s, wi, gs)
-            if nxt not in index:
+            j = index.get(nxt)
+            if j is None:
                 if len(states) >= state_budget:
                     raise BudgetExceededError(f"state budget {state_budget} exceeded")
-                index[nxt] = len(states)
+                j = index[nxt] = len(states)
                 states.append(nxt)
-                queue.append(nxt)
-            edges.append((index[s], index[nxt], letter, wi))
+            edges.append((i, j, letter, wi))
     return TransitionGraph(tuple(states), tuple(edges))
 
 
 def count_sequences(tg: TransitionGraph, up_to: int) -> list[int]:
-    """Closed-walk counts from the zero state, exact big integers."""
-    zero = tg.zero_state_index
-    return count_walks(tg.successors(), zero, (zero,), up_to)
+    """Closed-walk counts from the zero state, exact big integers, counted
+    on the lumped quotient, which has the same counts (``numerics.lump``)."""
+    quotient, zero = lump(tg.successors(), tg.zero_state_index)
+    return count_walks(quotient, zero, (zero,), up_to)
 
 
 @dataclass(frozen=True)
@@ -159,10 +164,19 @@ class IntermingledRate:
 
 
 def rate(tg: TransitionGraph) -> IntermingledRate:
-    """Growth of the closed walks at the zero state: the spectral radius of
-    the states that lie on one, since no other state carries a codeword."""
-    zero = tg.zero_state_index
-    nu = spectral_radius(trim(tg.successors(), zero, (zero,)))
+    """Growth of the closed walks at the zero state, as the spectral radius
+    of the trimmed lumped quotient.
+
+    Only states on a closed walk at zero carry codewords, and trimming to
+    them leaves the zero state alone or one strongly connected graph, whose
+    spectral radius is the growth rate of its closed walks at any state
+    (Perron-Frobenius).  The quotient B of ``numerics.lump`` satisfies
+    A P = P B, so B's spectrum is part of A's, and it has the same closed
+    walks at zero as A; its trimmed graph is again one strongly connected
+    graph, so both spectral radii are the growth rate of the same sequence.
+    """
+    quotient, zero = lump(tg.successors(), tg.zero_state_index)
+    nu = spectral_radius(trim(quotient, zero, (zero,)))
     return IntermingledRate(nu, math.log2(nu) if nu > 0 else float("-inf"))
 
 

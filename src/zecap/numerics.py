@@ -440,6 +440,43 @@ def trim(successors: Sequence[Sequence[int]], start: int,
     return [[index[t] for t in successors[s] if t in index] for s in keep]
 
 
+def lump(successors: Sequence[Sequence[int]], start: int) -> tuple[list[list[int]], int]:
+    """Quotient of a multigraph by its coarsest stable partition in which
+    ``start`` is a class of its own, and the class of ``start``.
+
+    Stable means that every state of a class has the same multiset of
+    successor classes, parallel edges counted.  Partition refinement splits
+    each class by the sorted tuple of its states' successor classes until a
+    round splits nothing.  Classes are numbered by their first state, and
+    ``quotient[c]`` lists the class of each edge target of that state.
+
+    With P the 0/1 matrix of states by classes, stability is A P = P B for
+    the adjacency matrices A of the graph and B of the quotient, so
+    A^L P = P B^L.  The column of P at the class of ``start`` is the unit
+    vector at ``start``, hence walks of length L from ``start`` back to it
+    number (A^L)[start, start] = (B^L)[c, c]: ``count_walks`` gives the same
+    counts on both graphs (ordinary lumpability; Kemeny and Snell, 1960).
+    """
+    n = len(successors)
+    block = [int(s == start) for s in range(n)]
+    classes = len(set(block))
+    while True:
+        signatures: dict[tuple, int] = {}
+        new_block = [0] * n
+        for s, targets in enumerate(successors):
+            sig = (block[s], tuple(sorted(map(block.__getitem__, targets))))
+            new_block[s] = signatures.setdefault(sig, len(signatures))
+        block = new_block
+        if len(signatures) == classes:  # the round split no class
+            break
+        classes = len(signatures)
+    quotient: list[list[int]] = []
+    for s, c in enumerate(block):
+        if c == len(quotient):  # the first state of class c
+            quotient.append([block[t] for t in successors[s]])
+    return quotient, block[start]
+
+
 def spectral_radius(successors: Sequence[Sequence[int]], tol: float = POWER_ITER_TOL,
                     max_iter: int = 200_000) -> float:
     """Largest eigenvalue modulus of the adjacency matrix of a multigraph.

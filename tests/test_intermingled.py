@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecap.graphs import BudgetExceededError, ChannelGraph, graph_by_name
-from zecap.intermingled import (build_transition_graph, count_sequences,
-                                full_rule, rate, rule_from_json,
+from zecap.intermingled import (SuccessionRule, build_transition_graph,
+                                count_sequences, full_rule, rate, rule_from_json,
                                 single_open_rule, table_rule, varlen_rule,
                                 verify_zero_error)
-from zecap.numerics import spectral_radius, trim
+from zecap.numerics import count_walks, lump, spectral_radius, trim
 from zecap.varlen import GeneratorSet, count_concatenations
 
 C5P1 = graph_by_name("C5+1")
@@ -294,3 +294,71 @@ def test_verified_codes_count_distinct_strings_and_rate_is_the_trimmed_spectrum(
             m[i, j] += 1
     want = max(abs(np.linalg.eigvals(m))) if trimmed[0] else 0.0
     assert rate(tg).nu == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Transition graphs counted and rated on their lumped quotient
+
+C11 = graph_by_name("C11")
+# every concatenation of two words of a maximum independent set of C7 x C7
+C7_SQUARE_SET = GeneratorSet(C7, tuple(
+    a + b for a, b in itertools.product(
+        [(0, 0), (0, 2), (1, 4), (2, 1), (2, 6), (3, 3), (4, 1), (4, 5), (5, 3), (6, 5)],
+        repeat=2)))
+C11_WORDS = GeneratorSet(C11, ((0,), (1, 3, 5, 7), (2, 4, 6, 8, 10), (3, 6, 9),
+                               (4, 8, 1, 5, 9, 2), (5, 10, 4)))
+
+
+def heptagon_cube():
+    """Every concatenation of three heptagon words."""
+    return GeneratorSet(C7, tuple(sum(p, ()) for p in
+                                  itertools.product(HEPTAGON_SET.words, repeat=3)))
+
+
+def reference_rule(family, hub=0):
+    """The succession rules as plain generator expressions over the state."""
+    def choose(state, gs):
+        closed = all(z == 0 for i, z in enumerate(state) if family == "varlen" or i != hub)
+        if closed:
+            return tuple(range(len(gs.words)))
+        open_words = {i for i, z in enumerate(state) if z != 0}
+        return tuple(sorted(open_words | ({hub} if family == "single-open" else set())))
+    return SuccessionRule(family, choose)
+
+
+@pytest.mark.parametrize("code, family, hub", [
+    (hub_cube, "single-open", 0),
+    (hub_cube, "varlen", 0),
+    (heptagon_cube, "varlen", 0),
+    (lambda: PENTAGON_SET, "single-open", 2),  # a hub word that opens
+])
+def test_rules_build_the_reference_transition_graph(code, family, hub):
+    gs = code()
+    rule = single_open_rule(hub) if family == "single-open" else varlen_rule()
+    assert build_transition_graph(gs, rule) == \
+        build_transition_graph(gs, reference_rule(family, hub))
+
+
+@pytest.mark.parametrize("code, rule, states, classes", [
+    (hub_cube, single_open_rule(0), 626, 6),
+    (hub_cube, varlen_rule(), 626, 6),
+    (heptagon_cube, varlen_rule(), 1569, 6),
+    (lambda: C7_SQUARE_SET, varlen_rule(), 301, 4),
+    (lambda: C11_WORDS, full_rule(), 1080, 720),
+])
+def test_quotient_sizes_are_pinned(code, rule, states, classes):
+    tg = build_transition_graph(code(), rule)
+    quotient, zero = lump(tg.successors(), tg.zero_state_index)
+    assert (tg.state_count(), len(quotient), zero) == (states, classes, 0)
+
+
+def test_hub_cube_counts_on_the_quotient_match_the_full_graph():
+    tg = build_transition_graph(hub_cube(), single_open_rule(0))
+    assert count_sequences(tg, 100) == count_walks(tg.successors(), 0, (0,), 100)
+
+
+def test_single_open_hub_outside_the_words_is_rejected():
+    with pytest.raises(ValueError):
+        single_open_rule(-1)
+    with pytest.raises(ValueError):
+        build_transition_graph(PENTAGON_SET, single_open_rule(6))

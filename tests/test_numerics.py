@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from zecap.numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
                             RationalFraction, _exact_div, aberth_roots, closed_form_counts,
-                            count_walks, linear_recurrence_extend, polynomial_gcd,
+                            count_walks, linear_recurrence_extend, lump, polynomial_gcd,
                             series_coefficients, smallest_positive_root,
                             spectral_radius, trim, unique_positive_root)
 
@@ -351,6 +352,60 @@ def test_trim_matches_brute_force_reachability(case):
 def test_trim_keeps_parallel_edges_and_drops_dead_ends():
     # 0 -> 1 twice, 1 -> 0, 1 -> 2 (dead end), 3 unreachable
     assert trim([[1, 1], [0, 2], [], [0]], 0, [0]) == [[1, 1], [0]]
+
+
+@st.composite
+def lifted_multigraphs(draw):
+    """A random multigraph on 1..4 states, parallel edges and self-loops
+    included, whose states are copied 1..3 times; each copy sends every edge
+    to some copy of its target, so copies can lump together.  Then a start
+    state, from which some states may be unreachable or unable to return."""
+    k = draw(st.integers(1, 4))
+    base = [draw(st.lists(st.integers(0, k - 1), max_size=3)) for _ in range(k)]
+    sizes = [draw(st.integers(1, 3)) for _ in range(k)]
+    copies, n = [], 0
+    for size in sizes:
+        copies.append(list(range(n, n + size)))
+        n += size
+    succ = [[draw(st.sampled_from(copies[t])) for t in base[b]]
+            for b in range(k) for _ in copies[b]]
+    return succ, draw(st.integers(0, n - 1))
+
+
+def reference_lump(succ, start):
+    """Reference: classes as sets, each split by the Counter of its states'
+    successor classes until no class splits; ordered by least state."""
+    classes = [cls for cls in ({start}, set(range(len(succ))) - {start}) if cls]
+    while True:
+        of = {s: i for i, cls in enumerate(classes) for s in cls}
+        split = []
+        for cls in classes:
+            groups = {}
+            for s in cls:
+                key = frozenset(Counter(of[t] for t in succ[s]).items())
+                groups.setdefault(key, set()).add(s)
+            split += groups.values()
+        if len(split) == len(classes):
+            return sorted(classes, key=min)
+        classes = split
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifted_multigraphs())
+def test_lump_keeps_closed_walk_counts_and_rate(case):
+    succ, start = case
+    n = len(succ)
+    quotient, c = lump(succ, start)
+    assert count_walks(quotient, c, (c,), 2 * n + 2) == \
+        count_walks(succ, start, (start,), 2 * n + 2)
+    classes = reference_lump(succ, start)
+    of = {s: i for i, cls in enumerate(classes) for s in cls}
+    assert classes[c] == {start}
+    assert quotient == [[of[t] for t in succ[min(cls)]] for cls in classes]
+    # the partition is stable, so lumping the quotient again merges nothing
+    assert lump(quotient, c) == (quotient, c)
+    assert spectral_radius(trim(quotient, c, (c,))) == pytest.approx(
+        spectral_radius(trim(succ, start, (start,))), rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
