@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class BudgetExceededError(Exception):
@@ -436,29 +436,54 @@ def _greedy_independent_set(masks: Sequence[int], cand: int) -> list[int]:
     return chosen
 
 
-def _clique_cover(masks: Sequence[int], cand: int) -> list[tuple[int, int]]:
+def _clique_cover(masks: Sequence[int], cand: int) -> list[int]:
     """Greedy partition of the candidate set into cliques, one class at a time.
 
     Each class takes the lowest remaining candidate, then again and again the
     lowest candidate adjacent to all members so far (``q &= masks[v]``).  That
-    is the partition a scan in increasing vertex order gives when it puts each
-    vertex into the first class whose members are all its neighbours.
-    Returns (vertex, class_number) in class order; a vertex in class k
-    certifies that once only classes 1..k remain, at most k independent
-    vertices can still be picked.
+    is the partition a scan in increasing index order gives when it puts each
+    vertex into the first class whose members are all its neighbours, so it
+    depends on the numbering.  Returns the class masks in order; a vertex in
+    class k certifies that once only classes 1..k remain, at most k
+    independent vertices can still be picked.
     """
-    order = []
-    k = 0
+    classes = []
     while cand:
-        k += 1
+        cls = 0
         q = cand
         while q:
             lsb = q & -q
-            v = lsb.bit_length() - 1
-            order.append((v, k))
-            cand ^= lsb
-            q &= masks[v]
-    return order
+            cls |= lsb
+            q &= masks[lsb.bit_length() - 1]
+        cand ^= cls
+        classes.append(cls)
+    return classes
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a mask, lowest first."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+def _degeneracy_order(masks: Sequence[int], cand: int) -> list[int]:
+    """The vertices of ``cand``, last peeled first, when the vertex with the
+    most neighbours among those left is peeled again and again; ties go to
+    more neighbours in all of ``cand``, then to the lower index."""
+    n = cand.bit_length()
+    # in base n, the digits of a key: neighbours left, neighbours in cand, n-1-v
+    key = {v: (masks[v] & cand).bit_count() * (n * n + n) + n - 1 - v for v in _bits(cand)}
+    peeled = []
+    while key:
+        v = max(key, key=key.get)
+        del key[v]
+        peeled.append(v)
+        cand ^= 1 << v
+        for u in _bits(masks[v] & cand):
+            key[u] -= n * n
+    return peeled[::-1]
 
 
 class _Budget(Exception):
@@ -476,13 +501,14 @@ def _search(masks: Sequence[int], cand: int, prefix: list[int], lower: int,
     extends the independent ``prefix`` by vertices of the mask ``cand``, none
     of them adjacent to the prefix.
 
-    Each node bounds its candidates by a greedy clique cover.  The search
-    ends when it has refuted every larger set (exact), when its incumbent
-    reaches ``upper_bound`` (exact, the caller's bound being proven), or
-    after ``node_budget`` nodes (not exact).  The first incumbent is the
-    prefix and a greedy set in ``cand``; ``lower`` may exceed its size when
-    it is a value known without a witness, and then stays the result unless
-    the search beats it.
+    Each node bounds its candidates by a greedy clique cover in the
+    _degeneracy_order of ``cand``, which node counts depend on and proven
+    values do not.  The search ends when it has refuted every larger set
+    (exact), when its incumbent reaches ``upper_bound`` (exact, the caller's
+    bound being proven), or after ``node_budget`` nodes (not exact).  The
+    first incumbent is the prefix and a greedy set in ``cand``; ``lower`` may
+    exceed its size when it is a value known without a witness, and then
+    stays the result unless the search beats it.
 
     ``orbits`` maps each candidate to the mask of its orbit under
     automorphisms of the graph that fix the prefix; the root then branches
@@ -496,10 +522,16 @@ def _search(masks: Sequence[int], cand: int, prefix: list[int], lower: int,
         return IndependenceResult(best, tuple(best_set), True, 0)
     if upper_bound is None:
         upper_bound = len(prefix) + cand.bit_count() + 1  # never reached
+    order = _degeneracy_order(masks, cand)
+    new_bit = {v: 1 << i for i, v in enumerate(order)}
+    local = [sum(new_bit[u] for u in _bits(masks[v] & cand)) for v in order]
+    if orbits:
+        orbits = [sum(new_bit[u] for u in _bits(orbits[v])) for v in order]
     nodes = 0
 
     def expand(cand: int, chosen: list[int],
-               orbit_of: Optional[dict[int, int]] = None) -> None:
+               orbit_of: Optional[list[int]] = None) -> None:
+        # chosen is in the caller's numbering, cand in the search's;
         # orbit_of, given at the root only, drops each orbit after its branch
         nonlocal best, best_set, nodes
         nodes += 1
@@ -507,30 +539,35 @@ def _search(masks: Sequence[int], cand: int, prefix: list[int], lower: int,
             raise _Budget
         if best >= upper_bound:
             raise _Reached
-        order = _clique_cover(masks, cand)
+        classes = _clique_cover(local, cand)
         size = len(chosen)
-        for v, k in reversed(order):
-            if not cand >> v & 1:  # dropped with an orbit
-                continue
-            if size + k <= best:
-                return
-            cand &= ~(1 << v)
-            chosen.append(v)
-            if size + 1 > best:
-                best = size + 1
-                best_set = sorted(chosen)
-                if best >= upper_bound:
-                    raise _Reached
-            sub = cand & ~masks[v]
-            if sub:
-                expand(sub, chosen)
-            chosen.pop()
-            if orbit_of:
-                cand &= ~orbit_of[v]
+        # best only grows, so the classes k <= best - size are never branched on
+        for k in range(len(classes), best - size, -1):
+            cls = classes[k - 1]
+            while cls:
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                if not cand >> v & 1:  # dropped with an orbit
+                    continue
+                if size + k <= best:
+                    return
+                cand ^= 1 << v
+                chosen.append(order[v])
+                if size + 1 > best:
+                    best = size + 1
+                    best_set = sorted(chosen)
+                    if best >= upper_bound:
+                        raise _Reached
+                sub = cand & ~local[v]
+                if sub:
+                    expand(sub, chosen)
+                chosen.pop()
+                if orbit_of:
+                    cand &= ~orbit_of[v]
 
     exact = True
     try:
-        expand(cand, list(prefix), orbits)
+        expand((1 << len(order)) - 1, list(prefix), orbits)
     except _Budget:
         exact = False
     except _Reached:
@@ -565,10 +602,11 @@ def independence_number(g: ChannelGraph,
                         upper_bound: Optional[int] = None) -> IndependenceResult:
     """Exact maximum independent set by branch-and-bound with bitset masks.
 
-    The bound is a greedy clique cover of the candidate set.  On budget
-    exhaustion the best incumbent is returned with ``exact=False``.  An exact
-    search of a graph of at most 100 vertices without ``transitive_symmetries``
-    returns the lexicographically least maximum independent set.
+    The bound is a greedy clique cover in a degeneracy order (_search), which
+    node counts depend on and proven values do not.  On budget exhaustion the
+    best incumbent is returned with ``exact=False``.  An exact search of a
+    graph of at most 100 vertices without ``transitive_symmetries`` returns
+    the lexicographically least maximum independent set.
 
     ``transitive_symmetries`` takes permutations that are verified to be
     automorphisms acting transitively on the vertices; then some maximum
@@ -631,8 +669,7 @@ def cover_weight(g: ChannelGraph, transitive: bool,
     """
     n = g.vertex_count
     if not transitive:
-        order = _clique_cover(g.neighbor_masks, (1 << n) - 1)
-        return Fraction(order[-1][1] if order else 0), 0
+        return Fraction(len(_clique_cover(g.neighbor_masks, (1 << n) - 1))), 0
     full = (1 << n) - 1
     co = ChannelGraph(g.labels, tuple(full & ~m & ~(1 << v)
                                       for v, m in enumerate(g.neighbor_masks)))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from zecap import automata
 from zecap.automata import channel_series_prefix
-from zecap.graphs import (BudgetExceededError, ChannelGraph, _alpha_by_transitivity,
-                          _clique_cover, complete, connected_components,
-                          coordinate_swaps, cover_weight, cycle,
-                          cycle_power_symmetries, cycle_product_independence,
+from zecap.graphs import (BudgetExceededError, ChannelGraph, _alpha,
+                          _alpha_by_transitivity, _clique_cover, _search,
+                          complete, connected_components, coordinate_swaps,
+                          cover_weight, cycle, cycle_power_symmetries,
+                          cycle_product_independence,
                           disjoint_union, distinguishable, graph_by_name,
                           independence_number, induced_subgraph, is_automorphism,
                           lift_automorphisms, one_vertex, path, section_bound,
@@ -48,10 +50,22 @@ def circulant(n: int, steps) -> ChannelGraph:
          if (i + s) % n != i})
 
 
+def relabelled(g: ChannelGraph, perm) -> ChannelGraph:
+    """g with vertex v renamed perm[v]."""
+    labels = [""] * g.vertex_count
+    for v, lab in enumerate(g.labels):
+        labels[perm[v]] = lab
+    return ChannelGraph.from_edges(labels, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def is_independent(g: ChannelGraph, vertices) -> bool:
+    return all(not g.has_edge(u, v) for u, v in itertools.combinations(vertices, 2))
+
+
 def per_vertex_clique_cover(masks, cand):
     """Reference: each vertex, in increasing order, joins the first class
-    whose members are all its neighbours."""
-    classes, members = [], []
+    whose members are all its neighbours; returns the class masks."""
+    classes = []
     m = cand
     while m:
         lsb = m & -m
@@ -60,12 +74,10 @@ def per_vertex_clique_cover(masks, cand):
         for idx, cmask in enumerate(classes):
             if cmask & ~masks[v] == 0:
                 classes[idx] |= lsb
-                members[idx].append(v)
                 break
         else:
             classes.append(lsb)
-            members.append([v])
-    return [(v, k) for k, verts in enumerate(members, start=1) for v in verts]
+    return classes
 
 
 def test_cycle_basics():
@@ -509,26 +521,26 @@ def test_orbit_branching_keeps_alpha(n, steps, l):
 
 def test_orbit_branching_on_the_pentagon_cube():
     # from the seed 2 * 5 = 10 to the section bound floor(5/2 * 5) = 12: the
-    # coordinate swaps take the search from 22,757 nodes to 6,799
+    # coordinate swaps take the search from 6,410 nodes to 2,054
     c5 = cycle(5)
     power = strong_power(c5, 3)
     args = (power, cycle_power_symmetries(5, 3), 10 ** 8, 10, 12)
     res = _alpha_by_transitivity(*args, swaps=coordinate_swaps([c5] * 3))
-    assert (res.alpha, res.exact, res.nodes) == (10, True, 6799)
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 2054)
     res = _alpha_by_transitivity(*args)
-    assert (res.alpha, res.exact, res.nodes) == (10, True, 22757)
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 6410)
 
 
 def test_search_stops_at_the_upper_bound():
     g = strong_power(cycle(5), 2)
     plain = independence_number(g)
     capped = independence_number(g, upper_bound=5)
-    assert (plain.alpha, plain.exact, plain.nodes) == (5, True, 20)
+    assert (plain.alpha, plain.exact, plain.nodes) == (5, True, 21)
     assert (capped.alpha, capped.exact, capped.nodes) == (5, True, 11)
     assert capped.witness == plain.witness  # both lexicographically least
     res = independence_number(strong_power(cycle(5), 3), upper_bound=10,
                               transitive_symmetries=cycle_power_symmetries(5, 3))
-    assert (res.alpha, res.exact, res.nodes) == (10, True, 19)
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 9)
 
 
 def test_transitive_automorphisms():
@@ -578,11 +590,88 @@ def test_lifts_to_a_product_of_different_cycles_are_automorphisms():
 
 
 def test_alpha_c7_plus_one_squared_is_pinned():
-    # the search without symmetry: node count and witness fixed by the bound
+    # the search without symmetry: node count fixed by the degeneracy order
+    # and the bound, witness by the lexicographic refinement
     res = independence_number(strong_power(graph_by_name("C7+1"), 2))
-    assert (res.alpha, res.exact, res.nodes) == (17, True, 161360)
+    assert (res.alpha, res.exact, res.nodes) == (17, True, 43876)
     assert res.witness == (0, 1, 3, 5, 8, 9, 11, 21, 24, 25, 27, 37, 40, 42,
                            47, 52, 62)
+
+
+def test_search_work_does_not_hinge_on_the_numbering():
+    # in the degeneracy order every numbering of P4 takes the same number of
+    # nodes on its cube, and every numbering of C5 x C5 x C5 about the same
+    counts = {independence_number(strong_power(relabelled(path(4), perm), 3)).nodes
+              for perm in itertools.permutations(range(4))}
+    assert counts == {1}
+    cube = strong_power(cycle(5), 3)
+    counts = [independence_number(cube).nodes]
+    for seed in (1, 2, 3):
+        perm = random.Random(seed).sample(range(125), 125)
+        res = independence_number(relabelled(cube, perm))
+        assert (res.alpha, res.exact) == (10, True)
+        counts.append(res.nodes)
+    assert max(counts) <= 2 * min(counts)
+
+
+def test_alpha_of_a_disconnected_square_within_budget():
+    # C5 + 4 K1 squared: 81 vertices, alpha(C5 x C5) + 8 alpha(C5) + 16 = 37;
+    # searched whole in index order it was not exact after 2 * 10**6 nodes
+    g = graph_by_name("C5")
+    for label in "abcd":
+        g = disjoint_union(g, one_vertex(label))
+    res = independence_number(strong_power(g, 2), node_budget=10 ** 5)
+    assert (res.alpha, res.exact) == (37, True)
+
+
+@st.composite
+def numbered_graphs(draw):
+    """A random graph or random circulant on 1-14 vertices, a relabelling of
+    its vertices, and whether it is a circulant."""
+    n = draw(st.integers(1, 14))
+    perm = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        steps = draw(st.sets(st.integers(1, max(1, n // 2)), min_size=1))
+        return circulant(n, steps), perm, True
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_graph(rng, n, draw(st.floats(0, 1))), perm, False
+
+
+@settings(max_examples=60, deadline=None)
+@given(numbered_graphs())
+@example((cycle(5), [2, 0, 3, 4, 1], True))
+@example((circulant(5, {2}), [0, 1, 2, 3, 4], True))
+def test_search_witness_is_in_the_callers_numbering(case):
+    g, perm, is_circulant = case
+    n = g.vertex_count
+    moved = [0] * n  # the rotation v -> v + 1 of g, carried to the relabelling
+    for v in range(n):
+        moved[perm[v]] = perm[(v + 1) % n]
+    for g, rotation in ((g, [(v + 1) % n for v in range(n)]),
+                        (relabelled(g, perm), moved)):
+        alpha = oracle_alpha(g)
+        res = _alpha(g, None, 10 ** 8)
+        assert res.exact and res.alpha == len(res.witness) == alpha
+        assert is_independent(g, res.witness)
+        # vertex 0 fixed: the prefix stays in the caller's numbering
+        root = (1 << n) - 1 & ~g.neighbor_masks[0] & ~1
+        res = _search(g.neighbor_masks, root, [0], 0, math.inf)
+        rest = oracle_alpha(induced_subgraph(g, [v for v in range(n) if root >> v & 1])[0])
+        assert res.exact and res.alpha == len(res.witness) == 1 + rest
+        assert 0 in res.witness and is_independent(g, res.witness)
+        if not is_circulant:
+            continue
+        res = _alpha_by_transitivity(g, [rotation], 10 ** 8)
+        assert res.exact and res.alpha == len(res.witness) == alpha
+        assert 0 in res.witness
+        assert is_independent(g, res.witness)
+        if n <= 7:
+            # the orbits of the coordinate swap are renumbered with the square
+            square = strong_power(g, 2)
+            res = _alpha_by_transitivity(square, lift_automorphisms([rotation], 2),
+                                         10 ** 8, swaps=coordinate_swaps([g, g]))
+            assert res.exact and res.alpha == len(res.witness) == oracle_alpha(square)
+            assert is_independent(square, res.witness)
 
 
 def test_alpha_seed_witness_and_symmetries_are_exclusive():
@@ -646,7 +735,7 @@ def test_cycle_product_independence_stops_at_the_floored_bound():
 
 def test_lexmin_refinement_stops_each_search_at_its_target(monkeypatch):
     # each existence search of the refinement ends at the first set of the
-    # size it asks for; together they take 369 nodes on C7 x C7
+    # size it asks for; together they take 120 nodes on C7 x C7
     import zecap.graphs
     nodes = []
     search = zecap.graphs._search
@@ -658,5 +747,5 @@ def test_lexmin_refinement_stops_each_search_at_its_target(monkeypatch):
 
     monkeypatch.setattr(zecap.graphs, "_search", counting)
     res = independence_number(strong_power(cycle(7), 2))
-    assert (res.alpha, res.exact, res.nodes) == (10, True, 1060)
-    assert nodes[0] == 1060 and sum(nodes[1:]) == 369
+    assert (res.alpha, res.exact, res.nodes) == (10, True, 960)
+    assert nodes[0] == 960 and sum(nodes[1:]) == 120
