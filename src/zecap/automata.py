@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -13,7 +12,7 @@ from typing import Optional, Sequence, Union as TyUnion
 from .graphs import (ChannelGraph, _alpha, _check_power_size, connected_components,
                      coordinate_swaps, cover_weight, induced_subgraph, lift_automorphisms,
                      section_bound, strong_product, transitive_automorphisms)
-from .numerics import (RationalFraction, count_walks, series_coefficients,
+from .numerics import (RationalFraction, _refine, count_walks, series_coefficients,
                        smallest_positive_root)
 
 
@@ -76,16 +75,6 @@ class Star:
 
 
 Regex = TyUnion[Empty, Epsilon, Letter, Union, Concat, Star]
-
-
-def letters_of(e: Regex) -> set[int]:
-    if isinstance(e, Letter):
-        return {e.symbol}
-    if isinstance(e, (Union, Concat)):
-        return letters_of(e.left) | letters_of(e.right)
-    if isinstance(e, Star):
-        return letters_of(e.inner)
-    return set()
 
 
 def parse_regex(text: str) -> Regex:
@@ -192,128 +181,104 @@ class Dfa:
         })
 
 
-def _positions(e: Regex) -> tuple[list[int], list[set[int]], set[int]]:
+def _positions(e: Regex) -> tuple[list[int], list[int], int]:
     """Position (Glushkov) automaton of e, without ε-moves.
 
-    Returns the letter of each position, the positions that may follow each
-    one, and the final positions.  The last position is a sentinel for
-    "before any letter": it is followed by the first positions of e and is
-    final when e accepts the empty word.
+    Returns the letter of each position, the mask of positions that may
+    follow each one, and the mask of final positions; bit p of a mask stands
+    for position p.  The last position is a sentinel for "before any
+    letter": it is followed by the first positions of e and is final when e
+    accepts the empty word.
     """
     letter: list[int] = []
-    follow: list[set[int]] = []
+    follow: list[int] = []
 
-    def walk(node: Regex) -> tuple[bool, set[int], set[int]]:
+    def link(last: int, first: int) -> None:
+        while last:
+            low = last & -last
+            follow[low.bit_length() - 1] |= first
+            last ^= low
+
+    def walk(node: Regex) -> tuple[bool, int, int]:
         """(nullable, first, last) of node; fills in follow on the way."""
         if isinstance(node, Empty):
-            return False, set(), set()
+            return False, 0, 0
         if isinstance(node, Epsilon):
-            return True, set(), set()
+            return True, 0, 0
         if isinstance(node, Letter):
             letter.append(node.symbol)
-            follow.append(set())
-            return False, {len(letter) - 1}, {len(letter) - 1}
+            follow.append(0)
+            bit = 1 << (len(follow) - 1)
+            return False, bit, bit
         if isinstance(node, Star):
             _, first, last = walk(node.inner)
-            for p in last:
-                follow[p] |= first
+            link(last, first)
             return True, first, last
         if isinstance(node, (Union, Concat)):
             n1, f1, l1 = walk(node.left)
             n2, f2, l2 = walk(node.right)
             if isinstance(node, Union):
                 return n1 or n2, f1 | f2, l1 | l2
-            for p in l1:
-                follow[p] |= f2
+            link(l1, f2)
             return n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
         raise TypeError(f"not a regex node: {node!r}")
 
     nullable, first, last = walk(e)
     follow.append(first)
-    if nullable:
-        last.add(len(follow) - 1)
-    return letter, follow, last
+    return letter, follow, last | nullable << (len(follow) - 1)
 
 
 def regex_to_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Dfa:
-    """Position automaton, subset determinization, Moore minimization."""
+    """Position automaton, subset construction over bit masks of positions
+    (one OR of a subset's follow masks, then an AND with each letter's mask;
+    subsets numbered breadth-first), then ``_minimize``.  Blocks numbered by
+    their first subset keep the states that ``dfa-dump`` prints stable."""
+    letter, follow, last = _positions(e)
     if alphabet is None:
-        alphabet = sorted(letters_of(e))
+        alphabet = sorted(set(letter))
     else:
         alphabet = sorted(int(a) for a in alphabet)
-        missing = letters_of(e) - set(alphabet)
+        missing = set(letter) - set(alphabet)
         if missing:
             raise ValueError(f"expression letters {sorted(missing)} not in alphabet")
     alphabet = tuple(alphabet)
-    letter, follow, last = _positions(e)
-
-    start_set = frozenset([len(follow) - 1])
-    index = {start_set: 0}
-    subsets = [start_set]
+    letter_masks = [sum(1 << p for p, b in enumerate(letter) if b == a) for a in alphabet]
+    subsets = [1 << (len(follow) - 1)]
+    index = {subsets[0]: 0}
     table: list[list[int]] = []
     for cur in subsets:  # grows while it is walked
-        by_letter: dict[int, set[int]] = {}
-        for p in cur:
-            for q in follow[p]:
-                by_letter.setdefault(letter[q], set()).add(q)
+        reach = 0
+        while cur:
+            low = cur & -cur
+            reach |= follow[low.bit_length() - 1]
+            cur ^= low
         row = []
-        for a in alphabet:
-            nxt = frozenset(by_letter.get(a, ()))
+        for mask in letter_masks:
+            nxt = reach & mask
             if nxt not in index:
                 index[nxt] = len(subsets)
                 subsets.append(nxt)
             row.append(index[nxt])
         table.append(row)
-    accepting = {i for i, sub in enumerate(subsets) if not last.isdisjoint(sub)}
+    accepting = {i for i, sub in enumerate(subsets) if sub & last}
     return _minimize(alphabet, table, 0, accepting)
 
 
 def _minimize(alphabet: tuple[int, ...], table: list[list[int]], start: int,
               accepting: set[int]) -> Dfa:
-    n = len(table)
-    # Moore partition refinement
-    block = [1 if s in accepting else 0 for s in range(n)]
-    while True:
-        signatures = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (block[s], tuple(map(block.__getitem__, table[s])))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[s] = signatures[sig]
-        if new_block == block:
-            break
-        block = new_block
-    # keep only blocks reachable from the start block
-    repr_table: dict[int, list[int]] = {}
-    accept_blocks = set()
-    for s in range(n):
-        repr_table.setdefault(block[s], [block[t] for t in table[s]])
-        if s in accepting:
-            accept_blocks.add(block[s])
-    reachable = {block[start]}
-    queue = deque([block[start]])
-    while queue:
-        b = queue.popleft()
-        for t in repr_table[b]:
-            if t not in reachable:
-                reachable.add(t)
-                queue.append(t)
-    order = sorted(reachable)
-    remap = {b: i for i, b in enumerate(order)}
-    final_table = [tuple(remap[t] for t in repr_table[b]) for b in order]
-    final_accepting = frozenset(remap[b] for b in order if b in accept_blocks)
+    """The minimal DFA, with an explicit sink, of a table whose states are all
+    reachable from ``start``: the worklist refinement ``numerics._refine``,
+    shared with ``numerics.lump``, numbers its blocks by their first state."""
+    block, final_table = _refine(table, [s in accepting for s in range(len(table))],
+                                 ordered=True)
+    final_accepting = frozenset(block[s] for s in accepting)
     # identify (or add) the explicit sink: non-accepting all-self-loop state
-    sink = None
-    for i, row in enumerate(final_table):
-        if i not in final_accepting and all(t == i for t in row):
-            sink = i
-            break
+    sink = next((i for i, row in enumerate(final_table)
+                 if i not in final_accepting and all(t == i for t in row)), None)
     if sink is None:
         sink = len(final_table)
-        final_table = list(final_table) + [tuple(sink for _ in alphabet)]
-    return Dfa(alphabet, tuple(tuple(r) for r in final_table),
-               remap[block[start]], final_accepting, sink)
+        final_table.append([sink] * len(alphabet))
+    return Dfa(alphabet, tuple(map(tuple, final_table)), block[start], final_accepting, sink)
 
 
 # ---------------------------------------------------------------------------

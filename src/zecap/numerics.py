@@ -194,7 +194,7 @@ class RationalFraction:
 
     @staticmethod
     def z() -> "RationalFraction":
-        return RationalFraction(IntPolynomial([0, 1]), IntPolynomial([1]))
+        return _Z
 
     def __add__(self, other: "RationalFraction") -> "RationalFraction":
         if self.denominator == other.denominator:
@@ -244,6 +244,13 @@ def _cancel(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolyn
     """a and b divided by their polynomial gcd, when it has positive degree."""
     # a constant or zero side leaves nothing of positive degree to divide out
     if a.degree > 0 and b.degree > 0:
+        va = next(i for i, c in enumerate(a.coefficients) if c)
+        vb = next(i for i, c in enumerate(b.coefficients) if c)
+        if va == a.degree or vb == b.degree:
+            # a side c z^k: the gcd is z^j, j the least valuation, a shift
+            j = min(va, vb)
+            return (IntPolynomial(a.coefficients[j:]), IntPolynomial(b.coefficients[j:])) \
+                if j else (a, b)
         g = polynomial_gcd(a, b)
         if g.degree > 0:
             return _exact_div(a, g), _exact_div(b, g)
@@ -264,6 +271,9 @@ def _exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if any(num):
         raise ArithmeticError("inexact polynomial division")
     return IntPolynomial(out)
+
+
+_Z = RationalFraction(IntPolynomial([0, 1]), IntPolynomial([1]))
 
 
 def _is_rate_characteristic(p: IntPolynomial) -> bool:
@@ -445,10 +455,10 @@ def lump(successors: Sequence[Sequence[int]], start: int) -> tuple[list[list[int
     ``start`` is a class of its own, and the class of ``start``.
 
     Stable means that every state of a class has the same multiset of
-    successor classes, parallel edges counted.  Partition refinement splits
-    each class by the sorted tuple of its states' successor classes until a
-    round splits nothing.  Classes are numbered by their first state, and
-    ``quotient[c]`` lists the class of each edge target of that state.
+    successor classes, parallel edges counted.  The partition comes from the
+    worklist refinement ``_refine``, shared with ``automata._minimize``.
+    Classes are numbered by their first state, and ``quotient[c]`` lists the
+    class of each edge target of that state.
 
     With P the 0/1 matrix of states by classes, stability is A P = P B for
     the adjacency matrices A of the graph and B of the quotient, so
@@ -457,24 +467,71 @@ def lump(successors: Sequence[Sequence[int]], start: int) -> tuple[list[list[int
     number (A^L)[start, start] = (B^L)[c, c]: ``count_walks`` gives the same
     counts on both graphs (ordinary lumpability; Kemeny and Snell, 1960).
     """
-    n = len(successors)
-    block = [int(s == start) for s in range(n)]
-    classes = len(set(block))
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_block = [0] * n
-        for s, targets in enumerate(successors):
-            sig = (block[s], tuple(sorted(map(block.__getitem__, targets))))
-            new_block[s] = signatures.setdefault(sig, len(signatures))
-        block = new_block
-        if len(signatures) == classes:  # the round split no class
-            break
-        classes = len(signatures)
-    quotient: list[list[int]] = []
-    for s, c in enumerate(block):
-        if c == len(quotient):  # the first state of class c
-            quotient.append([block[t] for t in successors[s]])
+    block, quotient = _refine(successors, [s == start for s in range(len(successors))],
+                              ordered=False)
     return quotient, block[start]
+
+
+def _refine(successors: Sequence[Sequence[int]], labels: Sequence[object],
+            ordered: bool) -> tuple[list[int], list[list[int]]]:
+    """The coarsest partition refining ``labels`` whose blocks agree on their
+    states' successor blocks, as a sequence if ``ordered`` (one per letter of
+    a DFA), else as a multiset; the block of each state, numbered by first
+    state, and the successor blocks of each block's first state.
+
+    Each round re-signs only the predecessors of the states that moved in the
+    round before (Hopcroft, 1971; Valmari and Franceschinis, 2010).  A block's
+    clean states share one signature, the one its last split kept; they keep
+    the block's number, or else its largest part does, and the other parts
+    move to new blocks.
+    """
+    n = len(successors)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for s, targets in enumerate(successors):
+        for t in targets:
+            preds[t].append(s)
+    numbers: dict[object, int] = {}
+    block = [numbers.setdefault(label, len(numbers)) for label in labels]
+    size = [0] * len(numbers)
+    for b in block:
+        size[b] += 1
+    shared: list[object] = [None] * len(numbers)  # the signature a block's states share
+
+    def signature(s: int) -> tuple:
+        targets = map(block.__getitem__, successors[s])
+        return tuple(targets) if ordered else tuple(sorted(targets))
+
+    dirty: Iterable[int] = range(n)
+    while dirty:
+        touched: dict[int, list[int]] = {}
+        for s in dirty:
+            if size[block[s]] > 1:
+                touched.setdefault(block[s], []).append(s)
+        moves = []
+        for b, states in touched.items():
+            clean = len(states) < size[b]
+            groups = {shared[b]: []} if clean else {}
+            for s in states:
+                groups.setdefault(signature(s), []).append(s)
+            parts = list(groups.items())
+            keep = 0 if clean else parts.index(max(parts, key=lambda p: len(p[1])))
+            shared[b] = parts.pop(keep)[0]
+            for sig, part in parts:
+                size[b] -= len(part)
+                moves.append((len(size), part))
+                size.append(len(part))
+                shared.append(sig)
+        for b, part in moves:
+            for s in part:
+                block[s] = b
+        dirty = {p for _, part in moves for s in part for p in preds[s]}
+    numbers = {}
+    block = [numbers.setdefault(b, len(numbers)) for b in block]
+    quotient: list[list[int]] = []
+    for s, b in enumerate(block):
+        if b == len(quotient):  # the first state of block b
+            quotient.append([block[t] for t in successors[s]])
+    return block, quotient
 
 
 def spectral_radius(successors: Sequence[Sequence[int]], tol: float = POWER_ITER_TOL,

@@ -8,16 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zecap.automata
-from zecap.automata import (AmbiguousExpressionError, Concat, Empty, Epsilon,
+from zecap.automata import (AmbiguousExpressionError, Concat, Dfa, Empty, Epsilon,
                             Letter, RationalCode, Star, Union,
                             channel_series_prefix, count_language,
-                            generator_series, letters_of, parse_regex,
+                            generator_series, parse_regex,
                             rational_code_rate, regex_to_dfa)
 from zecap.graphs import complete, cycle, graph_by_name, one_vertex
 from zecap.numerics import (RationalFraction, count_walks, series_coefficients,
                             spectral_radius, trim)
 
 HUB_REGEX = "(0+1(0)*1+2(0)*3+3(0)*5+4(0)*2+5(0)*4)*"
+
+
+def letters_of(e):
+    if isinstance(e, Letter):
+        return {e.symbol}
+    if isinstance(e, (Union, Concat)):
+        return letters_of(e.left) | letters_of(e.right)
+    if isinstance(e, Star):
+        return letters_of(e.inner)
+    return set()
 
 
 def words_over(alphabet, length):
@@ -514,3 +524,94 @@ def test_count_language_without_the_sink_matches_walks_with_it(e, extend):
 def test_position_automaton_dfa_equals_thompson_dfa_on_fixed_expressions(text):
     e = parse_regex(text)
     assert regex_to_dfa(e) == thompson_dfa(e, sorted(letters_of(e)))
+
+
+def frozenset_moore_dfa(e, alphabet):
+    """Reference: the position automaton on sets of positions, subsets as
+    frozensets found breadth-first, Moore rounds over every state until no
+    block splits, blocks reachable from the start numbered in order of
+    their first state, and the explicit sink."""
+    letter, follow = [], []
+
+    def walk(node):
+        if isinstance(node, Empty):
+            return False, set(), set()
+        if isinstance(node, Epsilon):
+            return True, set(), set()
+        if isinstance(node, Letter):
+            letter.append(node.symbol)
+            follow.append(set())
+            return False, {len(letter) - 1}, {len(letter) - 1}
+        if isinstance(node, Star):
+            _, first, last = walk(node.inner)
+            for p in last:
+                follow[p] |= first
+            return True, first, last
+        n1, f1, l1 = walk(node.left)
+        n2, f2, l2 = walk(node.right)
+        if isinstance(node, Union):
+            return n1 or n2, f1 | f2, l1 | l2
+        for p in l1:
+            follow[p] |= f2
+        return n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
+
+    nullable, first, last = walk(e)
+    follow.append(first)
+    if nullable:
+        last.add(len(follow) - 1)
+    subsets = [frozenset([len(follow) - 1])]
+    index = {subsets[0]: 0}
+    table = []
+    for cur in subsets:
+        row = []
+        for a in alphabet:
+            nxt = frozenset(q for p in cur for q in follow[p] if letter[q] == a)
+            if nxt not in index:
+                index[nxt] = len(subsets)
+                subsets.append(nxt)
+            row.append(index[nxt])
+        table.append(row)
+    n = len(table)
+    block = [int(not last.isdisjoint(sub)) for sub in subsets]
+    while True:
+        signatures = {}
+        new_block = [signatures.setdefault((block[s], tuple(block[t] for t in table[s])),
+                                           len(signatures)) for s in range(n)]
+        if new_block == block:
+            break
+        block = new_block
+    reachable, queue = {block[0]}, [0]
+    for s in queue:
+        for t in table[s]:
+            if block[t] not in reachable:
+                reachable.add(block[t])
+                queue.append(t)
+    remap = {b: i for i, b in enumerate(sorted(reachable))}
+    rows, accepting = {}, set()
+    for s in range(n):
+        if block[s] in remap:
+            rows.setdefault(remap[block[s]], tuple(remap[block[t]] for t in table[s]))
+            if not last.isdisjoint(subsets[s]):
+                accepting.add(remap[block[s]])
+    rows = [rows[i] for i in range(len(rows))]
+    sink = next((i for i, row in enumerate(rows)
+                 if i not in accepting and all(t == i for t in row)), None)
+    if sink is None:
+        sink = len(rows)
+        rows.append(tuple(sink for _ in alphabet))
+    return Dfa(tuple(alphabet), tuple(rows), remap[block[0]], frozenset(accepting), sink)
+
+
+three_letter_expressions = st.recursive(
+    st.sampled_from([Letter(0), Letter(1), Letter(2), Epsilon(), Empty()]),
+    lambda inner: st.one_of(st.builds(Union, inner, inner),
+                            st.builds(Concat, inner, inner),
+                            st.builds(Star, inner)),
+    max_leaves=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(three_letter_expressions, st.booleans())
+def test_mask_dfa_equals_frozenset_moore_dfa(e, extend):
+    alphabet = [0, 1, 2, 3] if extend else sorted(letters_of(e))
+    assert regex_to_dfa(e, alphabet if extend else None) == frozenset_moore_dfa(e, alphabet)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecap.numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
-                            RationalFraction, _exact_div, aberth_roots, closed_form_counts,
-                            count_walks, linear_recurrence_extend, lump, polynomial_gcd,
-                            series_coefficients, smallest_positive_root,
+                            RationalFraction, _cancel, _exact_div, _refine, aberth_roots,
+                            closed_form_counts, count_walks, linear_recurrence_extend, lump,
+                            polynomial_gcd, series_coefficients, smallest_positive_root,
                             spectral_radius, trim, unique_positive_root)
 
 
@@ -408,6 +408,57 @@ def test_lump_keeps_closed_walk_counts_and_rate(case):
         spectral_radius(trim(succ, start, (start,))), rel=1e-9, abs=1e-9)
 
 
+def reference_refine(successors, labels, ordered):
+    """Reference: re-sign every state each round by its block and its
+    successor blocks (a tuple, or a sorted tuple for a multiset), blocks
+    numbered by their first state, until a round splits no block."""
+    of = {}
+    block = [of.setdefault(label, len(of)) for label in labels]
+    while True:
+        signatures = {}
+        new_block = []
+        for s, targets in enumerate(successors):
+            key = [block[t] for t in targets]
+            sig = (block[s], tuple(key) if ordered else tuple(sorted(key)))
+            new_block.append(signatures.setdefault(sig, len(signatures)))
+        if len(signatures) == len(set(block)):
+            block = new_block
+            break
+        block = new_block
+    firsts = {}
+    for s, b in enumerate(block):
+        firsts.setdefault(b, s)
+    return block, [[block[t] for t in successors[firsts[b]]] for b in range(len(firsts))]
+
+
+@st.composite
+def labelled_dfas(draw):
+    """A table of 1..12 states over 1..3 letters, and a label per state."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    table = [draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)) for _ in range(n)]
+    return table, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+@st.composite
+def labelled_multigraphs(draw):
+    """Successor lists on 1..12 states, parallel edges and self-loops
+    included, and a label per state."""
+    n = draw(st.integers(1, 12))
+    succ = [draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)]
+    return succ, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(labelled_dfas().map(lambda c: (*c, True)),
+                 labelled_multigraphs().map(lambda c: (*c, False)),
+                 lifted_multigraphs().map(lambda c: (c[0], [s == c[1] for s in range(len(c[0]))],
+                                                     False))))
+def test_worklist_refinement_matches_every_state_rounds(case):
+    successors, labels, ordered = case
+    assert _refine(successors, labels, ordered) == \
+        reference_refine(successors, labels, ordered)
+
+
 # ---------------------------------------------------------------------------
 # Integer series arithmetic against the Fraction versions it replaced
 
@@ -489,6 +540,21 @@ def test_rational_fraction_with_a_constant_side_matches_gcd_reduction(c, p, cons
     num, den = (p, IntPolynomial([c])) if constant_below else (IntPolynomial([c]), p)
     f = RationalFraction(num, den)
     assert (f.numerator, f.denominator) == gcd_reduced(num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-12, 12).filter(bool), st.integers(0, 4), nonzero_polynomials,
+       st.integers(0, 3), st.booleans())
+def test_rational_fraction_with_a_monomial_side_matches_gcd_reduction(c, k, p, shift,
+                                                                      monomial_below):
+    # the other side gets up to three roots at 0, so the shift is not always k
+    monomial = IntPolynomial([0] * k + [c])
+    other = IntPolynomial([0] * shift + list(p.coefficients))
+    num, den = (other, monomial) if monomial_below else (monomial, other)
+    f = RationalFraction(num, den)
+    assert (f.numerator, f.denominator) == gcd_reduced(num, den)
+    assert _cancel(num, den) == tuple(fraction_exact_div(x, polynomial_gcd(num, den))
+                                      for x in (num, den))
 
 
 @settings(max_examples=200, deadline=None)
