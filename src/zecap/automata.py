@@ -301,9 +301,12 @@ def generator_series(e: Regex) -> RationalFraction:
     checked one by one, in post-order, only to name the first one whose
     union, concatenation or star is ambiguous, or when e contains #.
     """
+    met_empty = False
 
     def compose(node: Regex, check_each: bool) -> RationalFraction:
+        nonlocal met_empty
         if isinstance(node, Empty):
+            met_empty = True
             return RationalFraction.from_int(0)
         if isinstance(node, Epsilon):
             return RationalFraction.from_int(1)
@@ -332,15 +335,14 @@ def generator_series(e: Regex) -> RationalFraction:
     # monotone operations.  So s = c at the root forces equality in every
     # step, hence s(F) = c(F) at every subexpression F, provided no language
     # is empty: c(G) = 0 makes c(FG) = 0 whatever F is.  A language can be
-    # empty only if e contains # (printed only for Empty); then every
-    # subexpression is checked.
-    if "#" not in str(e):
-        try:
-            f = compose(e, False)
+    # empty only if e contains Empty; then every subexpression is checked.
+    try:
+        f = compose(e, False)
+        if not met_empty:
             _check_against_dfa(e, f, regex_to_dfa(e))
             return f
-        except AmbiguousExpressionError:
-            pass  # redo with every check, to name the first failing node
+    except AmbiguousExpressionError:
+        pass  # redo with every check, to name the first failing node
     return compose(e, True)
 
 

@@ -13,13 +13,16 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .graphs import BudgetExceededError, Word
 from .numerics import count_walks, lump, spectral_radius, trim
-from .varlen import GeneratorSet
+
+if TYPE_CHECKING:
+    from .varlen import GeneratorSet
 
 State = tuple[int, ...]
+Edge = tuple[int, int, int, int]  # (from, to, letter, word index)
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ class TransitionGraph:
     """
 
     states: tuple[State, ...]
-    edges: tuple[tuple[int, int, int, int], ...]  # (from, to, letter, word index)
+    edges: tuple[Edge, ...]
 
     @property
     def zero_state_index(self) -> int:
@@ -203,59 +206,54 @@ def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule,
     """
     tg = build_transition_graph(gs, rule)
     confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
-    succ: list[list[tuple[int, int, int]]] = [[] for _ in tg.states]
-    for k, (i, j, letter, _wi) in enumerate(tg.edges):
-        succ[i].append((j, letter, k))
-    zero = tg.zero_state_index
-    violation = _pair_search(
-        succ, zero, lambda la, lb: confusable[la] >> lb & 1,
-        lambda ea, eb: ea[1] != eb[1], product_state_budget)
-    if violation is None:
-        violation = _pair_search(succ, zero, lambda la, lb: la == lb,
-                                 lambda ea, eb: ea[2] != eb[2], product_state_budget)
-    return IntermingledVerifyResult(violation is None, violation, True)
+    walks = _pair_search(tg, lambda la, lb: confusable[la] >> lb & 1,
+                         lambda ea, eb: ea[2] != eb[2], product_state_budget)
+    if walks is None:
+        # parallel edges are distinct tuples of tg.edges, so identity tells them apart
+        walks = _pair_search(tg, lambda la, lb: la == lb,
+                             lambda ea, eb: ea is not eb, product_state_budget)
+    violation = walks and tuple(tuple(e[2] for e in walk) for walk in walks)
+    return IntermingledVerifyResult(walks is None, violation, True)
 
 
-def _pair_search(edges, zero, compatible, differ, budget) -> Optional[tuple[Word, Word]]:
-    """Letter strings of two walks from ``zero`` back to it, compatible
-    letter by letter and differing at some step, or None if there are none.
+def _pair_search(tg: TransitionGraph, compatible, differ,
+                 budget) -> Optional[tuple[tuple[Edge, ...], tuple[Edge, ...]]]:
+    """Two walks of tg from the zero state back to it, as edge tuples,
+    compatible letter by letter and differing at some step, or None if there
+    are none.
 
-    ``edges[i]`` lists (target, letter, edge index) for the edges leaving
-    state i; ``compatible`` takes two letters, ``differ`` two such entries.
+    ``compatible`` takes two letters, ``differ`` two edges; each state's
+    out-edges are tried in ``tg.edges`` order, which fixes the witness.
     """
-    start = (zero, zero, False)
-    parent: dict[tuple[int, int, bool], tuple[tuple[int, int, bool], int, int]] = {}
-    seen = {start}
+    out: list[list[Edge]] = [[] for _ in tg.states]
+    for e in tg.edges:
+        out[e[0]].append(e)
+    zero = tg.zero_state_index
+    start, goal = (zero, zero, False), (zero, zero, True)
+    parent: dict[tuple[int, int, bool], Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
-        a, b, flag = queue.popleft()
-        for ea in edges[a]:
-            na, la, _ = ea
-            for eb in edges[b]:
-                nb, lb, _ = eb
-                if not compatible(la, lb):
+        a, b, flag = node = queue.popleft()
+        for ea in out[a]:
+            _, na, la, _ = ea
+            for eb in out[b]:
+                if not compatible(la, eb[2]):
                     continue  # no pair of codewords continues this way
-                nxt = (na, nb, flag or differ(ea, eb))
-                if nxt == (zero, zero, True):
-                    parent[nxt] = ((a, b, flag), la, lb)
-                    return _reconstruct(parent, start, nxt)
-                if nxt not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceededError(f"product state budget {budget} exceeded")
-                    seen.add(nxt)
-                    parent[nxt] = ((a, b, flag), la, lb)
-                    queue.append(nxt)
+                nxt = (na, eb[1], flag or differ(ea, eb))
+                if nxt in parent:
+                    continue
+                if nxt != goal and len(parent) >= budget:
+                    raise BudgetExceededError(f"product state budget {budget} exceeded")
+                parent[nxt] = (node, ea, eb)
+                if nxt == goal:
+                    return _reconstruct(parent, goal)
+                queue.append(nxt)
     return None
 
 
-def _reconstruct(parent, start, end) -> tuple[Word, Word]:
-    sa: list[int] = []
-    sb: list[int] = []
-    node = end
-    while node != start:
-        prev, la, lb = parent[node]
-        sa.append(la)
-        sb.append(lb)
-        node = prev
-    return tuple(reversed(sa)), tuple(reversed(sb))
-
+def _reconstruct(parent, node) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    steps = []
+    while parent[node] is not None:
+        node, ea, eb = parent[node]
+        steps.append((ea, eb))
+    return tuple(zip(*reversed(steps)))

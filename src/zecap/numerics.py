@@ -18,7 +18,7 @@ ABERTH_MAX_ITER = 200
 POWER_ITER_TOL = 1e-12
 
 
-class MultipleRootError(Exception):
+class MultipleRootError(ArithmeticError):
     """Closed forms with repeated characteristic roots are not supported."""
 
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import BudgetExceededError, ChannelGraph, Word, distinguishable, graph_by_name
+from .graphs import BudgetExceededError, ChannelGraph, Word, graph_by_name
+from .intermingled import _pair_search, build_transition_graph, varlen_rule
 from .numerics import IntPolynomial, unique_positive_root
 
 
@@ -87,10 +87,11 @@ class GeneratorSet:
 
 def verify_zero_error(gs: GeneratorSet) -> tuple[bool, Optional[tuple[Word, Word]]]:
     """Check every pair of distinct words is distinguishable on its shorter length."""
+    confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
     words = sorted(gs.words, key=len)
     for i, c in enumerate(words):
         for cp in words[i + 1:]:
-            if not distinguishable(gs.graph, c, cp):
+            if all(confusable[x] >> y & 1 for x, y in zip(c, cp)):
                 return False, (c, cp)
     return True, None
 
@@ -114,30 +115,16 @@ def count_concatenations(gs: GeneratorSet, up_to: int,
 def two_factorizations(gs: GeneratorSet) -> Optional[tuple[tuple[Word, ...], tuple[Word, ...]]]:
     """Two distinct factorizations of one word over gs, or None if gs is a code.
 
-    Sardinas-Patterson: a dangling suffix s is what one factorization
-    (longer) spells beyond another (shorter).  Each generator word u starts
-    one against the empty factorization; a word w extends the shorter side
-    to a new dangling suffix (w = st, or s = wt).  The set is not uniquely
-    decodable exactly when a dangling suffix of two nonempty factorizations
-    is a generator word.  Suffixes of generator words are finitely many, so
-    the breadth-first search ends.
+    Under ``varlen_rule`` the transition graph is the flower automaton of gs,
+    whose walks from the closed state back to it are the factorizations, one
+    word per return.  gs is a code exactly when no two distinct walks spell
+    one string (Berstel, Perrin, Reutenauer, Codes and Automata, 2009); the
+    product of the automaton with itself is finite, so no budget is needed.
     """
-    words = set(gs.words)
-    seen: set[Word] = set()
-    queue = deque((u, (u,), ()) for u in gs.words)
-    while queue:
-        s, longer, shorter = queue.popleft()
-        if shorter and s in words:
-            return longer, shorter + (s,)
-        if s in seen:
-            continue
-        seen.add(s)
-        for w in gs.words:
-            if len(w) > len(s) and w[:len(s)] == s:
-                queue.append((w[len(s):], shorter + (w,), longer))
-            elif len(w) < len(s) and s[:len(w)] == w:
-                queue.append((s[len(w):], longer, shorter + (w,)))
-    return None
+    tg = build_transition_graph(gs, varlen_rule())
+    walks = _pair_search(tg, lambda la, lb: la == lb, lambda ea, eb: ea != eb, math.inf)
+    return walks and tuple(tuple(gs.words[e[3]] for e in walk if e[1] == tg.zero_state_index)
+                           for walk in walks)
 
 
 def _require_uniquely_decodable(gs: GeneratorSet) -> None:

@@ -288,6 +288,25 @@ def test_not_uniquely_decodable_set_is_a_violation(capsys, argv):
     assert "error:" in err and "not uniquely decodable" in err
 
 
+def test_not_uniquely_decodable_error_names_a_shortest_word(capsys):
+    # the pair search on the flower automaton is breadth first, so the word
+    # it reports, 0^9, is the shortest with two factorizations
+    code, out, err = run(capsys, "count", "--graph", "C5+1",
+                         "--words", "0,000000000", "--L", "10")
+    assert (code, out) == (2, "")
+    assert err == ("error: generator set is not uniquely decodable: "
+                   "0.0.0.0.0.0.0.0.0 = 000000000\n")
+
+
+def test_curve_overlay_with_repeated_root_is_a_usage_error(capsys):
+    # X^3 - 3X - 2 = (X + 1)^2 (X - 2) has no closed form with distinct roots
+    code, out, err = run(capsys, "curve", "--graph", '{"labels":["0","1","2"],"edges":[]}',
+                         "--words", "00,11,22,012,120", "--overlay", "--L", "6")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "repeated roots" in err and "Traceback" not in err
+
+
 def test_verify_file_rejects_heptagon_single_open_code(tmp_path, capsys):
     spec = {"generator": {"graph": "C7",
                           "words": [[0], [2, 0], [2, 2], [2, 4], [4, 0], [4, 2], [4, 4]]},

@@ -206,3 +206,15 @@ def test_two_factorizations_matches_brute_force(words):
             count_concatenations(gs, 0)
         with pytest.raises(NonUniquelyDecodableError):
             rate(gs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.text("01", min_size=1, max_size=4), min_size=1, max_size=5))
+def test_two_factorizations_witness_is_a_shortest_ambiguous_word(words):
+    gs = gen(sorted(words))
+    pair = two_factorizations(gs)
+    if pair is None:
+        return
+    n = len(sum(pair[0], ()))
+    for L in range(1, n):
+        assert all(factorization_count(gs, w) == 1 for w in enumerate_codewords(gs, L))
