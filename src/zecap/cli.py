@@ -28,16 +28,9 @@ def _load_graph(args) -> graphs.ChannelGraph:
     if spec.startswith("{"):
         try:
             return graphs.ChannelGraph.from_json(spec)
-        except (KeyError, ValueError, json.JSONDecodeError) as ex:
+        except (KeyError, TypeError, ValueError) as ex:
             raise CliError(f"bad graph JSON: {ex}") from ex
     return graphs.graph_by_name(spec)
-
-
-def _parse_words(g: graphs.ChannelGraph, text: str) -> varlen.GeneratorSet:
-    items = [w.strip() for w in text.split(",")]
-    if any(not w for w in items):
-        raise CliError("empty word in --words")
-    return varlen.GeneratorSet.from_strings(g, items)
 
 
 def _load_code(args):
@@ -48,7 +41,11 @@ def _load_code(args):
     if sum(sources) != 1:
         raise CliError("specify exactly one of --file, --words, --regex")
     if args.words is not None:
-        return "varlen", _parse_words(_load_graph(args), args.words)
+        g = _load_graph(args)
+        items = [w.strip() for w in args.words.split(",")]
+        if not all(items):
+            raise CliError("empty word in --words")
+        return "varlen", varlen.GeneratorSet.from_strings(g, items)
     if getattr(args, "regex", None) is not None:
         return "regex", automata.parse_regex(args.regex)
     try:
@@ -64,12 +61,8 @@ def _load_code(args):
         if "regex" in data:
             return "regex", automata.parse_regex(data["regex"])
         return "varlen", varlen.GeneratorSet.from_json(json.dumps(data))
-    except (KeyError, ValueError) as ex:
+    except (AttributeError, KeyError, TypeError, ValueError) as ex:
         raise CliError(f"bad code spec: {ex}") from ex
-
-
-def _word_label(gs: varlen.GeneratorSet, w: Sequence[int]) -> str:
-    return "".join(gs.graph.labels[x] for x in w)
 
 
 def _fmt(x: float) -> str:
@@ -108,9 +101,9 @@ def cmd_verify(args) -> int:
     payload = {"kind": kind, "zero_error": ok, "exhaustive": exact}
     lines = [f"zero-error: {'yes' if ok else 'NO'}"]
     if violation is not None:
-        a, b = violation
-        payload["violation"] = [list(a), list(b)]
-        lines.append(f"confusable pair: {_word_label(gs, a)} / {_word_label(gs, b)}")
+        payload["violation"] = [list(w) for w in violation]
+        lines.append("confusable pair: " + " / ".join(
+            "".join(gs.graph.labels[x] for x in w) for w in violation))
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -121,29 +114,26 @@ def cmd_rate(args) -> int:
         r = varlen.rate(code)
         payload = {"method": "characteristic-root", "nu": r.nu, "r_bits": r.r_bits,
                    "characteristic_polynomial": str(r.char_poly)}
-        lines = [f"nu = {_fmt(r.nu)}  (unique positive root of {r.char_poly})",
-                 f"r  = {_fmt(r.r_bits)} bits per channel use"]
+        lines = [f"nu = {_fmt(r.nu)}  (unique positive root of {r.char_poly})"]
     elif kind == "intermingled":
-        gs, rule = code
-        tg = intermingled.build_transition_graph(gs, rule)
+        tg = intermingled.build_transition_graph(*code)
         r = intermingled.rate(tg)
         payload = {"method": "spectral-radius", "nu": r.nu, "r_bits": r.r_bits,
                    "states": tg.state_count()}
-        lines = [f"nu = {_fmt(r.nu)}  (spectral radius, {tg.state_count()} states)",
-                 f"r  = {_fmt(r.r_bits)} bits per channel use"]
+        lines = [f"nu = {_fmt(r.nu)}  (spectral radius, {tg.state_count()} states)"]
     else:
-        rr = automata.rational_code_rate(automata.RationalCode.from_expression(code))
-        payload = {"method": "series-pole", "nu": rr.nu, "r_bits": rr.r_bits,
-                   "series": str(rr.series),
-                   "polynomial_growth": rr.polynomial_growth}
-        lines = [f"series = {rr.series}"]
-        if rr.pole is not None:
-            payload["pole"] = [rr.pole, 0.0]
-            lines.append(f"pole = {_fmt(rr.pole)}")
+        r = automata.rational_code_rate(automata.RationalCode.from_expression(code))
+        payload = {"method": "series-pole", "nu": r.nu, "r_bits": r.r_bits,
+                   "series": str(r.series),
+                   "polynomial_growth": r.polynomial_growth}
+        lines = [f"series = {r.series}"]
+        if r.pole is not None:
+            payload["pole"] = [r.pole, 0.0]
+            lines.append(f"pole = {_fmt(r.pole)}")
         else:
             lines.append("polynomial growth: no pole, only the empty word")
-        lines += [f"nu = {_fmt(rr.nu)}",
-                  f"r  = {_fmt(rr.r_bits)} bits per channel use"]
+        lines.append(f"nu = {_fmt(r.nu)}")
+    lines.append(f"r  = {_fmt(r.r_bits)} bits per channel use")
     rows = [[k, v] for k, v in payload.items()]
     if math.isinf(payload["r_bits"]):  # nu = 0; JSON has no -Infinity
         payload["r_bits"] = None
@@ -156,9 +146,8 @@ def _counts_for(args) -> tuple[list[int], object]:
     if kind == "varlen":
         return varlen.count_concatenations(code, args.length), code
     if kind == "intermingled":
-        gs, rule = code
-        tg = intermingled.build_transition_graph(gs, rule)
-        return intermingled.count_sequences(tg, args.length), (gs, rule)
+        tg = intermingled.build_transition_graph(*code)
+        return intermingled.count_sequences(tg, args.length), code
     dfa = automata.regex_to_dfa(code)
     return automata.count_language(dfa, args.length), code
 
@@ -222,49 +211,48 @@ def _envelope_functions(terms):
 
 
 def cmd_alpha(args) -> int:
-    if args.length < 1:
+    """alpha, and series of a channel: both read the channel series prefix."""
+    if args.length < 1 and args.command == "alpha":
         raise CliError("alpha needs --L of at least 1")
-    g = _load_graph(args)
-    prefix = automata.channel_series_prefix(g, args.length, node_budget=args.budget_nodes)
-    payload = {"alpha": list(prefix.terms), "exact": list(prefix.exact),
-               "rate_lower_bound": prefix.running_rate_lower_bound()}
-    lines = []
-    best = 0.0
-    rows = [["l", "alpha", "exact", "root", "running_max"]]
-    for l, (a, ex) in enumerate(zip(prefix.terms, prefix.exact)):
-        if l == 0:
-            rows.append([0, a, ex, "", ""])
-            continue
-        root = a ** (1.0 / l)
-        best = max(best, root)
-        flag = "" if ex else "  (lower bound)"
-        lines.append(f"l={l}: alpha={a}{flag}  alpha^(1/l)={_fmt(root)}")
-        rows.append([l, a, ex, _fmt(root), _fmt(best)])
-    lines.append(f"capacity lower bound: log2({_fmt(best)}) = {_fmt(math.log2(best))} bits")
+    prefix = automata.channel_series_prefix(_load_graph(args), args.length,
+                                            node_budget=args.budget_nodes)
+    if args.command == "series":
+        payload = {"coefficients": list(prefix.terms), "exact": list(prefix.exact)}
+        terms = " + ".join(f"{a}z^{l}" if l else str(a)
+                           for l, a in enumerate(prefix.terms))
+        lines = [f"channel series prefix: {terms}"]
+        rows = [["l", "alpha", "exact"]] + \
+               [[l, a, e] for l, (a, e) in enumerate(zip(prefix.terms, prefix.exact))]
+    else:
+        payload = {"alpha": list(prefix.terms), "exact": list(prefix.exact),
+                   "rate_lower_bound": prefix.running_rate_lower_bound()}
+        lines = []
+        best = 0.0
+        rows = [["l", "alpha", "exact", "root", "running_max"]]
+        for l, (a, ex) in enumerate(zip(prefix.terms, prefix.exact)):
+            if l == 0:
+                rows.append([0, a, ex, "", ""])
+                continue
+            root = a ** (1.0 / l)
+            best = max(best, root)
+            flag = "" if ex else "  (lower bound)"
+            lines.append(f"l={l}: alpha={a}{flag}  alpha^(1/l)={_fmt(root)}")
+            rows.append([l, a, ex, _fmt(root), _fmt(best)])
+        lines.append(f"capacity lower bound: log2({_fmt(best)}) = {_fmt(math.log2(best))} bits")
     _emit(args, payload, lines, rows)
     return EXIT_OK if all(prefix.exact) else EXIT_BUDGET
 
 
 def cmd_series(args) -> int:
-    if args.regex is not None:
-        f = automata.generator_series(automata.parse_regex(args.regex))
-        coeffs = numerics.series_coefficients(f, args.length)
-        payload = {"series": str(f), "coefficients": coeffs}
-        lines = [f"F = {f}", "coefficients: " + ", ".join(map(str, coeffs))]
-        rows = [["L", "coefficient"]] + [[L, c] for L, c in enumerate(coeffs)]
-        _emit(args, payload, lines, rows)
-        return EXIT_OK
-    # channel generator series prefix for a graph
-    g = _load_graph(args)
-    prefix = automata.channel_series_prefix(g, args.length, node_budget=args.budget_nodes)
-    payload = {"coefficients": list(prefix.terms), "exact": list(prefix.exact)}
-    terms = " + ".join(f"{a}z^{l}" if l else str(a)
-                       for l, a in enumerate(prefix.terms))
-    lines = [f"channel series prefix: {terms}"]
-    rows = [["l", "alpha", "exact"]] + \
-           [[l, a, e] for l, (a, e) in enumerate(zip(prefix.terms, prefix.exact))]
+    if args.regex is None:
+        return cmd_alpha(args)
+    f = automata.generator_series(automata.parse_regex(args.regex))
+    coeffs = numerics.series_coefficients(f, args.length)
+    payload = {"series": str(f), "coefficients": coeffs}
+    lines = [f"F = {f}", "coefficients: " + ", ".join(map(str, coeffs))]
+    rows = [["L", "coefficient"]] + [[L, c] for L, c in enumerate(coeffs)]
     _emit(args, payload, lines, rows)
-    return EXIT_OK if all(prefix.exact) else EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_dfa_dump(args) -> int:
@@ -299,58 +287,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-error codes over channel graphs: verification and rates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, length_default=None, graph=True, code_file=True, budget=False):
+    def command(name, func, help, length_default=None, graph=True, code=True,
+                budget=False, regex=None):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=["human", "json", "csv"], default="human")
         if budget:
-            p.add_argument("--budget-nodes", type=int, default=10 ** 8,
+            p.add_argument("--budget-nodes", type=_length, default=10 ** 8,
                            help="node budget for independence search")
         if graph:
             p.add_argument("--graph", help="built-in graph name or inline JSON")
-        if code_file:
+        if code:
             p.add_argument("--file", help="JSON code spec path")
         if length_default is not None:
             p.add_argument("--L", dest="length", type=_length, default=length_default,
                            help="length cap")
+        if code:
+            p.add_argument("--words", help="comma-separated words over graph labels")
+        if regex:
+            p.add_argument("--regex", help=regex)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="check the zero-error property")
-    common(p)
-    p.add_argument("--words", help="comma-separated words over graph labels")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("rate", help="asymptotic rate of a code")
-    common(p)
-    p.add_argument("--words", help="comma-separated words over graph labels")
-    p.add_argument("--regex", help="rational code expression, e.g. (0+11)*")
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("count", help="codeword counts by length")
-    common(p, length_default=10)
-    p.add_argument("--words", help="comma-separated words over graph labels")
-    p.add_argument("--regex", help="regular expression to count")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("curve", help="counts with L-th roots (CSV friendly)")
-    common(p, length_default=20)
-    p.add_argument("--words", help="comma-separated words over graph labels")
-    p.add_argument("--regex", help="regular expression to count")
-    p.add_argument("--overlay", action="store_true",
-                   help="add closed-form envelope columns f1,f2,f3")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("alpha", help="independence numbers of strong powers")
-    common(p, length_default=2, code_file=False, budget=True)
-    p.set_defaults(func=cmd_alpha)
-
-    p = sub.add_parser("series", help="generator series of a regex or channel")
-    common(p, length_default=10, code_file=False, budget=True)
-    p.add_argument("--regex", help="regular expression")
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("dfa-dump", help="deterministic automaton of a regex")
-    common(p, graph=False, code_file=False)
-    p.add_argument("--regex", help="regular expression")
-    p.set_defaults(func=cmd_dfa_dump)
-
+    command("verify", cmd_verify, "check the zero-error property")
+    command("rate", cmd_rate, "asymptotic rate of a code",
+            regex="rational code expression, e.g. (0+11)*")
+    command("count", cmd_count, "codeword counts by length", length_default=10,
+            regex="regular expression to count")
+    curve = command("curve", cmd_curve, "counts with L-th roots (CSV friendly)",
+                    length_default=20, regex="regular expression to count")
+    curve.add_argument("--overlay", action="store_true",
+                       help="add closed-form envelope columns f1,f2,f3")
+    command("alpha", cmd_alpha, "independence numbers of strong powers", length_default=2,
+            code=False, budget=True)
+    command("series", cmd_series, "generator series of a regex or channel",
+            length_default=10, code=False, budget=True, regex="regular expression")
+    command("dfa-dump", cmd_dfa_dump, "deterministic automaton of a regex",
+            graph=False, code=False, regex="regular expression")
     return parser
 
 
@@ -362,15 +334,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if ex.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except graphs.BudgetExceededError as ex:
+    except (graphs.BudgetExceededError, varlen.NonUniquelyDecodableError, ValueError,
+            ArithmeticError, automata.AmbiguousExpressionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return EXIT_BUDGET
-    except varlen.NonUniquelyDecodableError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (ValueError, ArithmeticError, automata.AmbiguousExpressionError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_BUDGET if isinstance(ex, graphs.BudgetExceededError) else
+                EXIT_VIOLATION if isinstance(ex, varlen.NonUniquelyDecodableError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -74,6 +74,8 @@ class ChannelGraph:
         return self.neighbor_masks[v].bit_count()
 
     def index_of(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"unknown vertex label {label!r}")
         return self.labels.index(label)
 
     def to_json(self) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
@@ -66,9 +67,12 @@ def single_open_rule(hub: int = 0) -> SuccessionRule:
 def table_rule(table: dict[State, Sequence[int]]) -> SuccessionRule:
     def choose(state: State, gs: GeneratorSet) -> tuple[int, ...]:
         try:
-            return tuple(table[state])
+            choices = tuple(table[state])
         except KeyError:
             raise ValueError(f"succession table has no entry for state {state}") from None
+        if not all(0 <= i < len(state) for i in choices):
+            raise ValueError(f"succession table entry {choices} is outside the {len(state)} words")
+        return choices
     return SuccessionRule("table", choose,
                           {"table": {k: tuple(v) for k, v in table.items()}})
 
@@ -85,12 +89,12 @@ def rule_from_json(data: dict) -> SuccessionRule:
     if family == "varlen":
         return varlen_rule()
     if family == "single-open":
-        return single_open_rule(int(data.get("hub", 0)))
+        return single_open_rule(operator.index(data.get("hub", 0)))
     if family == "full":
         return full_rule()
     if family == "table":
-        table = {tuple(json.loads(k) if isinstance(k, str) else k): v
-                 for k, v in data["table"].items()}
+        table = {tuple(json.loads(k) if isinstance(k, str) else k):
+                 tuple(map(operator.index, v)) for k, v in data["table"].items()}
         return table_rule(table)
     raise ValueError(f"unknown succession rule family {family!r}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,7 +25,7 @@ class GeneratorSet:
     words: tuple[Word, ...]
 
     def __init__(self, graph: ChannelGraph, words: Sequence[Sequence[int]]):
-        normalized = tuple(tuple(int(x) for x in w) for w in words)
+        normalized = tuple(tuple(operator.index(x) for x in w) for w in words)
         if any(not w for w in normalized):
             raise ValueError("generator words must be non-empty")
         if len(set(normalized)) != len(normalized):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zecap.cli import build_parser, main
 
@@ -345,3 +351,104 @@ def test_repeated_calls_share_one_parser_and_answer_alike(capsys):
     for _ in range(2):
         assert [run(capsys, *argv) for argv in jobs] == first
     assert build_parser() is parser
+
+
+@pytest.mark.parametrize("spec", [
+    {"graph": "C5", "words": [[0], [1.9, 3]]},
+    {"generator": {"graph": "C5+1", "words": [[0], [1, 1], [2, 3]]},
+     "rule": {"family": "single-open", "hub": 0.7}},
+    {"graph": "C5", "words": [["3"], [1]]},
+], ids=["float-letter", "float-hub", "digit-string-letter"])
+@pytest.mark.parametrize("sub", ["verify", "rate"])
+def test_code_file_with_a_non_integer_index_is_rejected(tmp_path, capsys, spec, sub):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, sub, "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad code spec: ") and "Traceback" not in err
+
+
+def test_unknown_letter_in_words_names_the_label(capsys):
+    code, out, err = run(capsys, "rate", "--graph", "C5", "--words", "0,x")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown vertex label 'x'\n"
+
+
+MALFORMED_CODES = {
+    "null": None, "list": [1], "number": 5, "string": "my rule",
+    "table-as-list": {"generator": {"graph": "C5", "words": [[0]]},
+                      "rule": {"family": "table", "table": [[0]]}},
+    "rule-as-string": {"generator": {"graph": "C5", "words": [[0]]}, "rule": "full"},
+    "table-entry-out-of-range": {"generator": {"graph": "C5", "words": [[0]]},
+                                 "rule": {"family": "table", "table": {"[0]": [5]}}},
+    "table-entry-negative": {"generator": {"graph": "C5", "words": [[0], [1]]},
+                             "rule": {"family": "table", "table": {"[0,0]": [-1]}}},
+    "table-entry-string": {"generator": {"graph": "C5", "words": [[0]]},
+                           "rule": {"family": "table", "table": {"[0]": ["a"]}}},
+}
+MALFORMED_GRAPHS = {
+    "string-endpoints": {"labels": ["0", "1"], "edges": [["0", "1"]]},
+    "null-fields": {"labels": None, "edges": None},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *[[sub, "--file", name] for name in MALFORMED_CODES for sub in ("verify", "rate", "count")],
+    *[[sub, "--graph", json.dumps(g)] + (["--words", "0,1"] if sub == "verify" else [])
+      for g in MALFORMED_GRAPHS.values() for sub in ("alpha", "verify")],
+    ["alpha", "--graph", "C5", "--L", "2", "--budget-nodes", "-1"],
+    ["series", "--graph", "C5", "--L", "2", "--budget-nodes", "-1"],
+])
+def test_malformed_input_is_a_usage_error_without_a_traceback(tmp_path, monkeypatch,
+                                                              capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, spec in MALFORMED_CODES.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_zero_node_budget_is_allowed(capsys):
+    code, out, _ = run(capsys, "alpha", "--graph", "C5", "--L", "2", "--budget-nodes", "0",
+                       "--format", "json")
+    # no search may run, so every level past l = 0 is a lower bound
+    assert code == 3 and json.loads(out)["exact"] == [True, False, False]
+
+
+SPEC_WORDS = ["C5", "C5+1", "K1", "varlen", "single-open", "full", "table", "(0+11)*",
+              "[0]", "[0,0]", "0", "graph", "words", "generator", "rule", "family", "hub",
+              "regex", "labels", "edges"]
+JSON_SCALARS = (st.none() | st.integers(-2, 6) | st.floats(-2, 6)
+                | st.sampled_from(SPEC_WORDS) | st.text("01+*()", max_size=3))
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SPEC_WORDS), inner, max_size=3),
+    max_leaves=8)
+
+
+def _main_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DOCUMENTS, st.sampled_from(["verify", "rate", "count"]))
+def test_any_json_code_file_gives_an_exit_code(doc, sub):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [sub, "--file", path] + (["--L", "6"] if sub == "count" else [])
+        assert isinstance(_main_quietly(argv), int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DOCUMENTS | st.fixed_dictionaries({"labels": JSON_DOCUMENTS,
+                                               "edges": JSON_DOCUMENTS}),
+       st.sampled_from(["alpha", "verify"]))
+def test_any_json_graph_gives_an_exit_code(doc, sub):
+    argv = [sub, "--graph", json.dumps(doc)] + (["--words", "0,1"] if sub == "verify" else [])
+    assert isinstance(_main_quietly(argv), int)
