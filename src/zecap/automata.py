@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -519,7 +520,4 @@ def _bounds(key: tuple[int, ...], lower: dict, upper: dict,
 
 def _without(key: tuple[int, ...], part: Sequence[int]) -> tuple[int, ...]:
     """The sorted multiset ``key`` less the sub-multiset ``part``."""
-    rest = list(key)
-    for i in part:
-        rest.remove(i)
-    return tuple(rest)
+    return tuple((Counter(key) - Counter(part)).elements())

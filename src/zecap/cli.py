@@ -163,22 +163,19 @@ def cmd_count(args) -> int:
 
 def cmd_curve(args) -> int:
     counts, code = _counts_for(args)
-    envelope = None
+    header = ["L", "count", "root"]
     if args.overlay:
         if not isinstance(code, varlen.GeneratorSet):
             raise CliError("--overlay needs a variable-length generator set")
         poly = code.characteristic_polynomial()
         seed = counts[:poly.degree]
         terms = numerics.closed_form_counts(poly, seed)
-        envelope = _envelope_functions(terms)
-    header = ["L", "count", "root"]
-    if envelope:
         header += ["f1", "f2", "f3"]
     rows = [header]
     for L, c in enumerate(counts):
         row = [L, c, "" if L == 0 or c == 0 else _fmt(c ** (1.0 / L))]
-        if envelope:
-            row += ["" if L == 0 else _fmt(f(L)) for f in envelope]
+        if args.overlay:
+            row += [""] * 3 if L == 0 else [_fmt(f) for f in _envelope(terms, L)]
         rows.append(row)
     payload = {"header": header, "rows": [r for r in rows[1:]]}
     lines = [",".join(str(c) for c in r) for r in rows]
@@ -186,28 +183,18 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _envelope_functions(terms):
-    """Moduli envelopes bracketing the L-th root oscillations.
+def _envelope(terms, L: int) -> list[float]:
+    """Moduli envelopes f1, f2, f3 bracketing the L-th root oscillations, L >= 1.
 
-    f1 sums all |h_i| |root_i|^L (upper), f2 subtracts the non-dominant terms
-    from the dominant one (lower), f3 keeps the dominant term alone.
+    Of the parts |h_i| |root_i|^L of the closed-form ``terms``, dominant first,
+    f1 sums all (upper), f2 subtracts the others from the dominant one (lower,
+    0.0 when not positive) and f3 keeps the dominant one alone.
     """
-    mods = [(abs(r), abs(h)) for r, h in terms]
-
-    def f1(L: int) -> float:
-        return sum(h * r ** L for r, h in mods) ** (1.0 / L)
-
-    def f2(L: int) -> float:
-        r0, h0 = mods[0]
-        rest = sum(h * r ** L for r, h in mods[1:])
-        val = h0 * r0 ** L - rest
-        return val ** (1.0 / L) if val > 0 else 0.0
-
-    def f3(L: int) -> float:
-        r0, h0 = mods[0]
-        return (h0 * r0 ** L) ** (1.0 / L)
-
-    return [f1, f2, f3]
+    parts = [abs(h) * abs(r) ** L for r, h in terms]
+    lower = parts[0] - sum(parts[1:])
+    return [sum(parts) ** (1.0 / L),
+            lower ** (1.0 / L) if lower > 0 else 0.0,
+            parts[0] ** (1.0 / L)]
 
 
 def cmd_alpha(args) -> int:
@@ -274,7 +261,10 @@ def cmd_dfa_dump(args) -> int:
 
 
 def _length(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value

@@ -58,14 +58,8 @@ class ChannelGraph:
         return bool(self.neighbor_masks[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.vertex_count):
-            m = self.neighbor_masks[u] >> (u + 1) << (u + 1)
-            while m:
-                lsb = m & -m
-                out.append((u, lsb.bit_length() - 1))
-                m ^= lsb
-        return out
+        return [(u, v) for u, m in enumerate(self.neighbor_masks)
+                for v in _bits(m >> (u + 1) << (u + 1))]
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.neighbor_masks) // 2
@@ -153,11 +147,8 @@ def strong_product(g: ChannelGraph, h: ChannelGraph) -> ChannelGraph:
         # one bit at the start of the block of each v2 adjacent-or-equal to v;
         # times a closed h-neighbourhood (< 2**nh) it fills those blocks
         blocks = 0
-        m |= 1 << v
-        while m:
-            lsb = m & -m
-            blocks |= 1 << (nh * (lsb.bit_length() - 1))
-            m ^= lsb
+        for v2 in _bits(m | 1 << v):
+            blocks |= 1 << (nh * v2)
         masks.extend((blocks * hc) ^ (1 << (v * nh + w))
                      for w, hc in enumerate(h_closed))
     return ChannelGraph(labels, tuple(masks))
@@ -181,27 +172,15 @@ def _check_power_size(g: ChannelGraph, l: int, max_vertices: int) -> None:
 
 
 def induced_subgraph(g: ChannelGraph, keep: Sequence[int]) -> tuple[ChannelGraph, list[int]]:
-    """Subgraph on the given vertices; returns it with the old-index list."""
+    """Subgraph on the given vertices, with the sorted list ``keep`` of their
+    old indices: old vertex keep[i] becomes vertex i."""
     keep = sorted(set(int(v) for v in keep))
     if keep and not (0 <= keep[0] and keep[-1] < g.vertex_count):
         raise ValueError(f"vertex out of range for {g.vertex_count} vertices")
-    # maximal runs of consecutive kept vertices, as (old start, new start,
-    # length); each run moves as one shifted slice of a neighbour mask
-    runs: list[list[int]] = []
-    for i, v in enumerate(keep):
-        if runs and runs[-1][0] + runs[-1][2] == v:
-            runs[-1][2] += 1
-        else:
-            runs.append([v, i, 1])
-    slices = [(old, new, (1 << length) - 1) for old, new, length in runs]
-    masks = []
-    for v in keep:
-        m = g.neighbor_masks[v]
-        out = 0
-        for old, new, width in slices:
-            out |= (m >> old & width) << new
-        masks.append(out)
-    return ChannelGraph(tuple(g.labels[v] for v in keep), tuple(masks)), keep
+    new = {v: i for i, v in enumerate(keep)}
+    kept = sum(1 << v for v in keep)
+    masks = tuple(sum(1 << new[u] for u in _bits(g.neighbor_masks[v] & kept)) for v in keep)
+    return ChannelGraph(tuple(g.labels[v] for v in keep), masks), keep
 
 
 def is_automorphism(g: ChannelGraph, perm: Sequence[int]) -> bool:
@@ -293,10 +272,7 @@ def connected_components(g: ChannelGraph) -> list[list[int]]:
         for u in comp:  # grows while it is walked
             m = g.neighbor_masks[u] & ~placed
             placed |= m
-            while m:
-                lsb = m & -m
-                comp.append(lsb.bit_length() - 1)
-                m ^= lsb
+            comp.extend(_bits(m))
         comps.append(comp)
     return comps
 
@@ -355,11 +331,8 @@ def transitive_automorphisms(g: ChannelGraph) -> Optional[list[tuple[int, ...]]]
                 return image
             cand = ((1 << n) - 1) & ~used
             want = 0
-            m = masks[order[len(image)]]
-            while m:
-                lsb = m & -m
-                m ^= lsb
-                i = position[lsb.bit_length() - 1]
+            for v in _bits(masks[order[len(image)]]):
+                i = position[v]
                 if i < len(image):
                     want |= 1 << image[i]
                     cand &= masks[image[i]]
@@ -427,8 +400,7 @@ class IndependenceResult:
 
 def _greedy_independent_set(masks: Sequence[int], cand: int) -> list[int]:
     """An independent set within ``cand``, taking low degrees inside it first."""
-    order = sorted((v for v in range(cand.bit_length()) if cand >> v & 1),
-                   key=lambda v: ((masks[v] & cand).bit_count(), v))
+    order = sorted(_bits(cand), key=lambda v: ((masks[v] & cand).bit_count(), v))
     chosen = []
     blocked = 0
     for v in order:
@@ -750,11 +722,7 @@ def _lexmin_refine(masks: Sequence[int], n: int, alpha: int) -> list[int]:
     prefix: list[int] = []
     cand = (1 << n) - 1
     while len(prefix) < alpha:
-        m = cand
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            m ^= lsb
+        for v in _bits(cand):
             trial_cand = cand & ~masks[v] & ~(1 << v)
             # is there a maximum independent set that extends prefix + [v]?
             if _search(masks, trial_cand, prefix + [v], alpha - 1, math.inf, alpha).alpha == alpha:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,10 +51,7 @@ class GeneratorSet:
         return math.gcd(*(len(w) for w in self.words)) if self.words else 1
 
     def length_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for w in self.words:
-            hist[len(w)] = hist.get(len(w), 0) + 1
-        return hist
+        return dict(Counter(len(w) for w in self.words))
 
     def characteristic_polynomial(self) -> IntPolynomial:
         """X^lmax - sum #C_[l] X^(lmax - l)."""
@@ -97,15 +95,18 @@ def verify_zero_error(gs: GeneratorSet) -> tuple[bool, Optional[tuple[Word, Word
     return True, None
 
 
-def count_concatenations(gs: GeneratorSet, up_to: int,
-                         check_unique: bool = True) -> list[int]:
+def count_concatenations(gs: GeneratorSet, up_to: int) -> list[int]:
     """#C*_[L] for L = 0..up_to by the length-histogram linear recurrence.
 
     The recurrence counts factorizations; they are distinct words exactly
-    when the set is uniquely decodable, which check_unique proves first.
+    when the set is uniquely decodable, which is proven first.
     """
-    if check_unique:
-        _require_uniquely_decodable(gs)
+    _require_uniquely_decodable(gs)
+    return _count_factorizations(gs, up_to)
+
+
+def _count_factorizations(gs: GeneratorSet, up_to: int) -> list[int]:
+    """Factorizations over gs of each length L = 0..up_to, at least #C*_[L]."""
     hist = gs.length_histogram()
     counts = [1]
     for L in range(1, up_to + 1):
@@ -150,7 +151,7 @@ def _distinct_concatenations(gs: GeneratorSet, length: int) -> list[Word]:
 
 def enumerate_codewords(gs: GeneratorSet, length: int, cap: int = 10 ** 6) -> list[Word]:
     """All distinct concatenations of exactly the given length, sorted."""
-    expected = count_concatenations(gs, length, check_unique=False)[length]
+    expected = _count_factorizations(gs, length)[length]
     if expected > cap:
         raise BudgetExceededError(f"{expected} codewords exceed enumeration cap {cap}")
     return _distinct_concatenations(gs, length)

@@ -615,3 +615,15 @@ three_letter_expressions = st.recursive(
 def test_mask_dfa_equals_frozenset_moore_dfa(e, extend):
     alphabet = [0, 1, 2, 3] if extend else sorted(letters_of(e))
     assert regex_to_dfa(e, alphabet if extend else None) == frozenset_moore_dfa(e, alphabet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=8), st.data())
+def test_without_removes_a_sub_multiset(key, data):
+    key = tuple(sorted(key))
+    picked = data.draw(st.sets(st.integers(0, len(key) - 1)) if key else st.just(set()))
+    part = data.draw(st.permutations([key[i] for i in picked]))
+    rest = list(key)  # reference: one list.remove per element of part
+    for i in part:
+        rest.remove(i)
+    assert zecap.automata._without(key, part) == tuple(rest)

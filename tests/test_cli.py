@@ -6,10 +6,12 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zecap import numerics, varlen
 from zecap.cli import build_parser, main
+from zecap.graphs import graph_by_name
 
 HUB_REGEX = "(0+1(0)*1+2(0)*3+3(0)*5+4(0)*2+5(0)*4)*"
 
@@ -452,3 +454,51 @@ def test_any_json_code_file_gives_an_exit_code(doc, sub):
 def test_any_json_graph_gives_an_exit_code(doc, sub):
     argv = [sub, "--graph", json.dumps(doc)] + (["--words", "0,1"] if sub == "verify" else [])
     assert isinstance(_main_quietly(argv), int)
+
+
+@pytest.mark.parametrize("option, value", [("--L", "x"), ("--budget-nodes", "1.5")])
+def test_non_integer_length_names_no_function(capsys, option, value):
+    code, out, err = run(capsys, "alpha", "--graph", "C5", option, value)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (f"zecap alpha: error: argument {option}: "
+                                    f"must be a non-negative integer, got {value!r}")
+
+
+def closure_envelopes(terms):
+    """Reference: the three envelope closures, each summing its own terms."""
+    mods = [(abs(r), abs(h)) for r, h in terms]
+
+    def f1(L):
+        return sum(h * r ** L for r, h in mods) ** (1.0 / L)
+
+    def f2(L):
+        r0, h0 = mods[0]
+        rest = sum(h * r ** L for r, h in mods[1:])
+        val = h0 * r0 ** L - rest
+        return val ** (1.0 / L) if val > 0 else 0.0
+
+    def f3(L):
+        r0, h0 = mods[0]
+        return (h0 * r0 ** L) ** (1.0 / L)
+
+    return [f1, f2, f3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.text("012345", min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
+def test_curve_overlay_columns_match_the_closure_formulas(words):
+    # a prefix-free set is uniquely decodable
+    words = [w for w in words if not any(v != w and w.startswith(v) for v in words)]
+    argv = ["curve", "--graph", "C5+1", "--words", ",".join(words), "--L", "20",
+            "--overlay", "--format", "csv"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assume(code == 0)  # a repeated root has no closed form
+    gs = varlen.GeneratorSet.from_strings(graph_by_name("C5+1"), words)
+    poly = gs.characteristic_polynomial()
+    counts = varlen.count_concatenations(gs, 20)
+    envelopes = closure_envelopes(numerics.closed_form_counts(poly, counts[:poly.degree]))
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    assert [r[3:] for r in rows] == [[""] * 3] + [[f"{f(L):.6f}" for f in envelopes]
+                                                  for L in range(1, 21)]

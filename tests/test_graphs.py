@@ -758,3 +758,41 @@ def test_lexmin_refinement_stops_each_search_at_its_target(monkeypatch):
     res = independence_number(strong_power(cycle(7), 2))
     assert (res.alpha, res.exact, res.nodes) == (10, True, 960)
     assert nodes[0] == 960 and sum(nodes[1:]) == 120
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 20), st.floats(0, 1), st.integers(0, 2 ** 32))
+def test_edges_are_the_adjacent_pairs_in_order(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    assert g.edges() == [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+
+
+def breadth_first_components(g: ChannelGraph) -> list[list[int]]:
+    """Reference: breadth-first from each unplaced vertex, in increasing
+    order, taking the neighbours of each vertex in increasing order."""
+    placed = set()
+    comps = []
+    for root in range(g.vertex_count):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = [root]
+        i = 0
+        while i < len(comp):
+            for v in range(g.vertex_count):
+                if g.has_edge(comp[i], v) and v not in placed:
+                    placed.add(v)
+                    comp.append(v)
+            i += 1
+        comps.append(comp)
+    return comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 20), st.floats(0, 0.4), st.integers(0, 2 ** 32))
+def test_connected_components_match_breadth_first_search_and_networkx(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    comps = connected_components(g)
+    assert comps == breadth_first_components(g)
+    assert sorted(map(set, comps), key=min) == sorted(nx.connected_components(to_networkx(g)),
+                                                     key=min)
