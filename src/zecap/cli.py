@@ -116,11 +116,12 @@ def cmd_rate(args) -> int:
                    "characteristic_polynomial": str(r.char_poly)}
         lines = [f"nu = {_fmt(r.nu)}  (unique positive root of {r.char_poly})"]
     elif kind == "intermingled":
-        tg = intermingled.build_transition_graph(*code)
-        r = intermingled.rate(tg)
-        payload = {"method": "spectral-radius", "nu": r.nu, "r_bits": r.r_bits,
-                   "states": tg.state_count()}
-        lines = [f"nu = {_fmt(r.nu)}  (spectral radius, {tg.state_count()} states)"]
+        successors, states = intermingled._length_successors(*code)
+        quotient, zero = numerics.lump(successors, 0)
+        nu = numerics.spectral_radius(numerics.trim(quotient, zero, (zero,)))
+        r = intermingled.IntermingledRate(nu, math.log2(nu) if nu > 0 else float("-inf"))
+        payload = {"method": "spectral-radius", "nu": r.nu, "r_bits": r.r_bits, "states": states}
+        lines = [f"nu = {_fmt(r.nu)}  (spectral radius, {states} states)"]
     else:
         r = automata.rational_code_rate(automata.RationalCode.from_expression(code))
         payload = {"method": "series-pole", "nu": r.nu, "r_bits": r.r_bits,
@@ -146,8 +147,8 @@ def _counts_for(args) -> tuple[list[int], object]:
     if kind == "varlen":
         return varlen.count_concatenations(code, args.length), code
     if kind == "intermingled":
-        tg = intermingled.build_transition_graph(*code)
-        return intermingled.count_sequences(tg, args.length), code
+        quotient, zero = numerics.lump(intermingled._length_successors(*code)[0], 0)
+        return numerics.count_walks(quotient, zero, (zero,), args.length), code
     dfa = automata.regex_to_dfa(code)
     return automata.count_language(dfa, args.length), code
 
@@ -173,7 +174,8 @@ def cmd_curve(args) -> int:
         header += ["f1", "f2", "f3"]
     rows = [header]
     for L, c in enumerate(counts):
-        row = [L, c, "" if L == 0 or c == 0 else _fmt(c ** (1.0 / L))]
+        row = [L, c, "" if L == 0 or c == 0 else _fmt(c ** (1.0 / L) if c <= sys.float_info.max
+                                                      else math.exp(math.log(c) / L))]
         if args.overlay:
             row += [""] * 3 if L == 0 else [_fmt(f) for f in _envelope(terms, L)]
         rows.append(row)
@@ -190,11 +192,15 @@ def _envelope(terms, L: int) -> list[float]:
     f1 sums all (upper), f2 subtracts the others from the dominant one (lower,
     0.0 when not positive) and f3 keeps the dominant one alone.
     """
-    parts = [abs(h) * abs(r) ** L for r, h in terms]
+    try:
+        scale, parts = 1.0, [abs(h) * abs(r) ** L for r, h in terms]
+    except OverflowError:  # past the float range: parts relative to |root_0|^L
+        scale = abs(terms[0][0])
+        parts = [abs(h) * (abs(r) / scale) ** L for r, h in terms]
     lower = parts[0] - sum(parts[1:])
-    return [sum(parts) ** (1.0 / L),
-            lower ** (1.0 / L) if lower > 0 else 0.0,
-            parts[0] ** (1.0 / L)]
+    return [scale * sum(parts) ** (1.0 / L),
+            scale * lower ** (1.0 / L) if lower > 0 else 0.0,
+            scale * parts[0] ** (1.0 / L)]
 
 
 def cmd_alpha(args) -> int:

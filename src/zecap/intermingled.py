@@ -157,9 +157,37 @@ def build_transition_graph(gs: GeneratorSet, rule: SuccessionRule,
     return TransitionGraph(tuple(states), tuple(edges))
 
 
+def _length_successors(gs: GeneratorSet, rule: SuccessionRule) -> tuple[list[list[int]], int]:
+    """Successor lists of a graph that lumps to the transition graph's quotient,
+    and that graph's state count.  Under the varlen and single-open rules a state
+    is (hub position, letters left in the one open non-hub word, whether that word
+    is below the hub), edges in the rule's word order; other rules build the graph.
+    """
+    hub = rule.params.get("hub", -1)  # varlen: no word is the hub
+    if rule.family not in ("varlen", "single-open") or not gs.words or hub >= len(gs.words):
+        tg = build_transition_graph(gs, rule)  # raises for the bad inputs
+        return tg.successors(), tg.state_count()
+    lengths = [len(w) for w in gs.words]
+    m = lengths[hub] if hub >= 0 else 1
+    states, successors = [(0, 0, False)], []
+    index = {states[0]: 0}
+    for p, left, below in states:  # breadth first: states grows while read
+        if not left:
+            targets = [((p + 1) % m, 0, False) if i == hub else (p, n - 1, n > 1 and i < hub)
+                       for i, n in enumerate(lengths)]
+        else:
+            targets = [(p, left - 1, below and left > 1)]
+            if hub >= 0:  # the hub's edge comes second when the open word is below it
+                targets.insert(below, ((p + 1) % m, left, below))
+        successors.append([index.setdefault(t, len(index)) for t in targets])
+        states += dict.fromkeys(t for t in targets if index[t] >= len(states))  # new ones
+    return successors, m * (1 + sum(n - 1 for i, n in enumerate(lengths) if i != hub))
+
+
 def count_sequences(tg: TransitionGraph, up_to: int) -> list[int]:
     """Closed-walk counts from the zero state, exact big integers, counted
-    on the lumped quotient, which has the same counts (``numerics.lump``)."""
+    on the lumped quotient, which has the same counts (``numerics.lump``).
+    The CLI lumps varlen and single-open codes from ``_length_successors``."""
     quotient, zero = lump(tg.successors(), tg.zero_state_index)
     return count_walks(quotient, zero, (zero,), up_to)
 
@@ -181,6 +209,7 @@ def rate(tg: TransitionGraph) -> IntermingledRate:
     A P = P B, so B's spectrum is part of A's, and it has the same closed
     walks at zero as A; its trimmed graph is again one strongly connected
     graph, so both spectral radii are the growth rate of the same sequence.
+    The CLI lumps varlen and single-open codes from ``_length_successors``.
     """
     quotient, zero = lump(tg.successors(), tg.zero_state_index)
     nu = spectral_radius(trim(quotient, zero, (zero,)))

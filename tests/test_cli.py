@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -502,3 +503,73 @@ def test_curve_overlay_columns_match_the_closure_formulas(words):
     rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
     assert [r[3:] for r in rows] == [[""] * 3] + [[f"{f(L):.6f}" for f in envelopes]
                                                   for L in range(1, 21)]
+
+
+def hub_fifth_power_file(tmp_path):
+    """{0} with every concatenation of five pentagon hub words, as a code file
+    under the single-open rule with hub 0."""
+    words = ["0"] + ["".join(p) for p in itertools.product(["11", "23", "35", "42", "54"],
+                                                           repeat=5)]
+    gs = varlen.GeneratorSet.from_strings(graph_by_name("C5+1"), words)
+    path = tmp_path / "hub-fifth-power.json"
+    path.write_text(json.dumps({"generator": json.loads(gs.to_json("C5+1")),
+                                "rule": {"family": "single-open", "hub": 0}}))
+    return str(path)
+
+
+def hub_fifth_power_series(up_to):
+    """Coefficients of (1-z)^9 / ((1-z)^10 - 3125 z^10), the series of the
+    hub code {0} with every concatenation of five pentagon hub words, by the
+    integer recurrence of its denominator."""
+    den = [(-1) ** k * math.comb(10, k) for k in range(11)]
+    den[10] -= 3125
+    num = [(-1) ** k * math.comb(9, k) for k in range(10)]
+    out = []
+    for L in range(up_to + 1):
+        out.append((num[L] if L < 10 else 0)
+                   - sum(den[k] * out[L - k] for k in range(1, min(L, 10) + 1)))
+    return out
+
+
+def test_hub_fifth_power_counts_are_its_series(tmp_path, capsys):
+    code, out, _ = run(capsys, "count", "--file", hub_fifth_power_file(tmp_path), "--L", "60",
+                       "--format", "json")
+    counts = json.loads(out)["counts"]
+    assert code == 0 and counts[10:13] == [3126, 34376, 206251]
+    assert counts == hub_fifth_power_series(60)
+
+
+def test_hub_fifth_power_rate_names_the_transition_graph_size(tmp_path, capsys):
+    code, out, _ = run(capsys, "rate", "--file", hub_fifth_power_file(tmp_path), "--format", "json")
+    data = json.loads(out)
+    assert (code, data["states"]) == (0, 28126)
+    assert abs(data["nu"] - (1 + math.sqrt(5))) < 1e-9
+
+
+@pytest.mark.parametrize("sub", ["rate", "count"])
+def test_single_open_hub_outside_the_words_is_a_usage_error(tmp_path, capsys, sub):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"generator": {"graph": "C5+1", "words": [[0], [1, 1]]},
+                                "rule": {"family": "single-open", "hub": 5}}))
+    assert run(capsys, sub, "--file", str(path)) == \
+        (1, "", "error: hub index 5 is outside the 2 words\n")
+
+
+@pytest.mark.parametrize("overlay", [[], ["--overlay"]])
+def test_curve_roots_past_the_float_range(capsys, overlay):
+    code, out, _ = run(capsys, "curve", "--graph", "C5+1", "--words", "0,11,23,35,42,54",
+                       "--L", "1100", "--format", "csv", *overlay)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert (code, len(rows)) == (0, 1101)
+    c, root = int(rows[-1][1]), rows[-1][2]
+    assert root == f"{math.exp(math.log(c) / 1100):.6f}"
+    assert abs(float(root) - (1 + math.sqrt(21)) / 2) < 0.01
+    if overlay:  # the envelopes through the logs of the closed form's moduli
+        gs = varlen.GeneratorSet.from_strings(graph_by_name("C5+1"),
+                                              ["0", "11", "23", "35", "42", "54"])
+        poly = gs.characteristic_polynomial()
+        terms = numerics.closed_form_counts(poly, varlen.count_concatenations(gs, poly.degree))
+        logs = [math.log(abs(h)) + 1100 * math.log(abs(r)) for r, h in terms]
+        rest = sum(math.exp(x - logs[0]) for x in logs[1:])
+        want = [logs[0] + math.log1p(rest), logs[0] + math.log1p(-rest), logs[0]]
+        assert rows[-1][3:] == [f"{math.exp(x / 1100):.6f}" for x in want]

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zecap.graphs import BudgetExceededError, ChannelGraph, graph_by_name
-from zecap.intermingled import (SuccessionRule, build_transition_graph,
+from zecap.intermingled import (SuccessionRule, _length_successors, build_transition_graph,
                                 count_sequences, full_rule, rate, rule_from_json,
                                 single_open_rule, table_rule, varlen_rule,
                                 verify_zero_error)
@@ -362,3 +362,33 @@ def test_single_open_hub_outside_the_words_is_rejected():
         single_open_rule(-1)
     with pytest.raises(ValueError):
         build_transition_graph(PENTAGON_SET, single_open_rule(6))
+
+
+# ---------------------------------------------------------------------------
+# The length automaton of the varlen and single-open rules
+
+
+@st.composite
+def length_codes(draw):
+    """One to seven distinct words of length 1 to 5 over C5+1, under the
+    varlen rule or the single-open rule with the hub at any index."""
+    words = draw(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=5).map(tuple),
+                          min_size=1, max_size=7, unique=True))
+    hub = draw(st.none() | st.integers(0, len(words) - 1))
+    return GeneratorSet(C5P1, words), varlen_rule() if hub is None else single_open_rule(hub)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_codes())
+# two words of length 3 below a hub of length 2; a word of length 1 beside one
+@example((GeneratorSet(C5P1, [(0, 2, 5), (1, 0, 1), (5, 4)]), single_open_rule(2)))
+@example((PENTAGON_SET, single_open_rule(2)))
+def test_length_automaton_counts_and_rates_like_the_transition_graph(code):
+    gs, rule = code
+    tg = build_transition_graph(gs, rule)
+    successors, states = _length_successors(gs, rule)
+    quotient, zero = lump(successors, 0)
+    assert states == tg.state_count()
+    assert (quotient, zero) == lump(tg.successors(), tg.zero_state_index)
+    assert count_walks(quotient, zero, (zero,), 30) == count_sequences(tg, 30)
+    assert spectral_radius(trim(quotient, zero, (zero,))) == rate(tg).nu
