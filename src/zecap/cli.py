@@ -55,12 +55,12 @@ def _load_code(args):
         raise CliError(f"cannot read code file: {ex}") from ex
     try:
         if "rule" in data:
-            gs = varlen.GeneratorSet.from_json(json.dumps(data["generator"]))
+            gs = varlen.GeneratorSet._from_data(data["generator"])
             rule = intermingled.rule_from_json(data["rule"])
             return "intermingled", (gs, rule)
         if "regex" in data:
             return "regex", automata.parse_regex(data["regex"])
-        return "varlen", varlen.GeneratorSet.from_json(json.dumps(data))
+        return "varlen", varlen.GeneratorSet._from_data(data)
     except (AttributeError, KeyError, TypeError, ValueError) as ex:
         raise CliError(f"bad code spec: {ex}") from ex
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .graphs import BudgetExceededError, Word
+from .graphs import BudgetExceededError, ChannelGraph, Word
 from .numerics import count_walks, lump, spectral_radius, trim
 
 if TYPE_CHECKING:
@@ -235,8 +235,18 @@ def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule,
     it finds nothing, a second pairs equal letters and flags differing edges,
     so its witness is one sequence emitted by two walks.  Only reachable
     product states are visited; visiting more than ``product_state_budget``
-    in one search raises BudgetExceededError.
+    in one search raises BudgetExceededError.  Neither runs when
+    ``_prefix_confusable`` proves the code: under varlen the graph is the
+    flower automaton; under single-open, a one-letter hub h with no neighbour
+    and in no word of W makes {h} u W zero-error exactly when W is.
     """
+    words = gs.words if rule.family == "varlen" else None
+    hub = rule.params.get("hub", len(gs.words))  # a rule without a hub is not proven here
+    if rule.family == "single-open" and hub < len(gs.words):
+        (h, *more), rest = gs.words[hub], gs.words[:hub] + gs.words[hub + 1:]
+        words = None if more or gs.graph.neighbor_masks[h] or any(h in w for w in rest) else rest
+    if gs.words and words is not None and _prefix_confusable(gs.graph, words) is None:
+        return IntermingledVerifyResult(True, None, True)
     tg = build_transition_graph(gs, rule)
     confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
     walks = _pair_search(tg, lambda la, lb: confusable[la] >> lb & 1,
@@ -247,6 +257,31 @@ def verify_zero_error(gs: GeneratorSet, rule: SuccessionRule,
                              lambda ea, eb: ea is not eb, product_state_budget)
     violation = walks and tuple(tuple(e[2] for e in walk) for walk in walks)
     return IntermingledVerifyResult(walks is None, violation, True)
+
+
+def _prefix_confusable(graph: ChannelGraph, words: Sequence[Word]) -> Optional[tuple[int, int]]:
+    """The least index pair i < j of words confusable letter by letter on their
+    common length, from pairs of trie nodes stepped by confusable letters (with
+    words sorted by length, the first a loop over i < j finds).  None proves a
+    zero-error prefix code: unequal concatenations first differ in two distinguishable words."""
+    children, through, ends = defaultdict(dict), defaultdict(list), {}
+    for i, w in enumerate(words):
+        node = 0  # the root; other nodes are numbered 1, 2, ... as they are made
+        for x in w:
+            node = children[node].setdefault(x, len(through) + 1)
+            through[node].append(i)  # the words through a node, in index order
+        ends[node] = i
+    confusable = [m | 1 << v for v, m in enumerate(graph.neighbor_masks)]
+    pairs, found, seen = [(0, 0)], [], {(0, 0)}
+    for u, v in pairs:  # grows while read
+        if u in ends:  # the word ending at u pairs with the least other word through v
+            found += [tuple(sorted((ends[u], k))) for k in through[v][:2] if k != ends[u]]
+        for x, cu in children[u].items():
+            for y, cv in children[v].items():
+                if confusable[x] >> y & 1 and (cu, cv) not in seen:
+                    seen.add((cu, cv))
+                    pairs.append((cu, cv))
+    return min(found, default=None)
 
 
 def _pair_search(tg: TransitionGraph, compatible, differ,

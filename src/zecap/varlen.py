@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import BudgetExceededError, ChannelGraph, Word, graph_by_name
-from .intermingled import _pair_search, build_transition_graph, varlen_rule
+from .intermingled import _pair_search, _prefix_confusable, build_transition_graph, varlen_rule
 from .numerics import IntPolynomial, unique_positive_root
 
 
@@ -70,7 +70,10 @@ class GeneratorSet:
 
     @staticmethod
     def from_json(text: str) -> "GeneratorSet":
-        data = json.loads(text)
+        return GeneratorSet._from_data(json.loads(text))
+
+    @staticmethod
+    def _from_data(data) -> "GeneratorSet":
         spec = data["graph"]
         if isinstance(spec, str):
             graph = graph_by_name(spec)
@@ -85,14 +88,10 @@ class GeneratorSet:
 
 
 def verify_zero_error(gs: GeneratorSet) -> tuple[bool, Optional[tuple[Word, Word]]]:
-    """Check every pair of distinct words is distinguishable on its shorter length."""
-    confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
+    """(True, None) for a prefix-distinguishable set, else the first confusable pair by length."""
     words = sorted(gs.words, key=len)
-    for i, c in enumerate(words):
-        for cp in words[i + 1:]:
-            if all(confusable[x] >> y & 1 for x, y in zip(c, cp)):
-                return False, (c, cp)
-    return True, None
+    pair = _prefix_confusable(gs.graph, words)
+    return pair is None, pair and (words[pair[0]], words[pair[1]])
 
 
 def count_concatenations(gs: GeneratorSet, up_to: int) -> list[int]:
@@ -131,6 +130,8 @@ def two_factorizations(gs: GeneratorSet) -> Optional[tuple[tuple[Word, ...], tup
 
 def _require_uniquely_decodable(gs: GeneratorSet) -> None:
     """Raise NonUniquelyDecodableError, naming a word with two factorizations."""
+    if gs.words and _prefix_confusable(gs.graph, gs.words) is None:
+        return  # distinguishable on every common prefix: a prefix code
     pair = two_factorizations(gs)
     if pair is not None:
         a, b = (".".join("".join(gs.graph.labels[x] for x in w) for w in p) for p in pair)

@@ -573,3 +573,35 @@ def test_curve_roots_past_the_float_range(capsys, overlay):
         rest = sum(math.exp(x - logs[0]) for x in logs[1:])
         want = [logs[0] + math.log1p(rest), logs[0] + math.log1p(-rest), logs[0]]
         assert rows[-1][3:] == [f"{math.exp(x / 1100):.6f}" for x in want]
+
+
+def hub_code_file(tmp_path, k):
+    """{0} u W^k on C5+1 under the single-open rule, W the pentagon words."""
+    w = [[1, 1], [2, 3], [3, 5], [4, 2], [5, 4]]
+    words = [[0]] + [sum(p, []) for p in itertools.product(w, repeat=k)]
+    path = tmp_path / f"hub{k}.json"
+    path.write_text(json.dumps({"generator": {"graph": "C5+1", "words": words},
+                                "rule": {"family": "single-open", "hub": 0}}))
+    return path
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_verify_hub_code_powers_exhaustively(tmp_path, capsys, k):
+    # 626 and 3,126 words: the product search would exceed its budget; the
+    # hub 0 has no neighbour and no other word uses it, so W^k decides
+    code, out, _ = run(capsys, "verify", "--file", str(hub_code_file(tmp_path, k)),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"kind": "intermingled", "zero_error": True, "exhaustive": True}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["rate"], '{"method": "characteristic-root", "nu": 1.618033988749895, '
+               '"r_bits": 0.6942419136306174, "characteristic_polynomial": "X^2 -X -1"}\n'),
+    (["count", "--L", "8"], '{"counts": [1, 1, 2, 3, 5, 8, 13, 21, 34]}\n'),
+])
+def test_rate_and_count_of_a_set_failing_the_prefix_test(capsys, argv, want):
+    # 3 is confusable with the prefix of 30, yet {3, 30} is uniquely
+    # decodable: the decodability search runs, and the answer is as before
+    code, out, err = run(capsys, *argv, "--graph", "C5+1", "--words", "3,30", "--format", "json")
+    assert (code, out, err) == (0, want, "")

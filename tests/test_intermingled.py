@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zecap.graphs import BudgetExceededError, ChannelGraph, graph_by_name
-from zecap.intermingled import (SuccessionRule, _length_successors, build_transition_graph,
-                                count_sequences, full_rule, rate, rule_from_json,
-                                single_open_rule, table_rule, varlen_rule,
+from zecap.intermingled import (SuccessionRule, _length_successors, _pair_search,
+                                build_transition_graph, count_sequences, full_rule, rate,
+                                rule_from_json, single_open_rule, table_rule, varlen_rule,
                                 verify_zero_error)
 from zecap.numerics import count_walks, lump, spectral_radius, trim
 from zecap.varlen import GeneratorSet, count_concatenations
@@ -113,8 +113,18 @@ def test_verify_hub_cube_is_exact():
 
 
 def test_verify_budget_exceeded():
+    # the hub word 00 has two letters, so the product search runs
+    square = GeneratorSet(C7, tuple(a + b for a, b in
+                                    itertools.product(HEPTAGON_SET.words, repeat=2)))
     with pytest.raises(BudgetExceededError):
-        verify_zero_error(hub_cube(), single_open_rule(0), product_state_budget=10)
+        verify_zero_error(square, single_open_rule(0), product_state_budget=10)
+
+
+def test_verify_hub_cube_needs_no_product_search():
+    # the hub 0 has no neighbour and no other word uses it: {0} u W^3 is
+    # zero-error as W^3 is, which the trie test proves
+    res = verify_zero_error(hub_cube(), single_open_rule(0), product_state_budget=10)
+    assert res.ok and res.exact and res.violation is None
 
 
 def test_table_rule_round_trip():
@@ -392,3 +402,48 @@ def test_length_automaton_counts_and_rates_like_the_transition_graph(code):
     assert (quotient, zero) == lump(tg.successors(), tg.zero_state_index)
     assert count_walks(quotient, zero, (zero,), 30) == count_sequences(tg, 30)
     assert spectral_radius(trim(quotient, zero, (zero,))) == rate(tg).nu
+
+
+# ---------------------------------------------------------------------------
+# The trie test proves varlen codes and isolated-hub codes before any search
+
+
+def searched_verdict(gs, rule):
+    """The two pair searches of verify_zero_error, run on the transition graph
+    without the trie test in front of them."""
+    tg = build_transition_graph(gs, rule)
+    confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
+    walks = _pair_search(tg, lambda la, lb: confusable[la] >> lb & 1,
+                         lambda ea, eb: ea[2] != eb[2], math.inf)
+    if walks is None:
+        walks = _pair_search(tg, lambda la, lb: la == lb, lambda ea, eb: ea is not eb, math.inf)
+    return walks is None, walks and tuple(tuple(e[2] for e in walk) for walk in walks)
+
+
+@st.composite
+def varlen_and_hub_codes(draw):
+    """A set W of up to four words over a graph on two to four letters, as a
+    varlen code, or as the single-open code {0} u W with hub 0 at a random
+    index; the letter 0 has neighbours or not, and W uses it or not."""
+    k = draw(st.integers(2, 4))
+    isolated = draw(st.booleans())
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k) if u or not isolated]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = ChannelGraph.from_edges([str(i) for i in range(k)], edges)
+    letters = st.integers(0 if draw(st.booleans()) else 1, k - 1)
+    words = draw(st.lists(st.lists(letters, min_size=1, max_size=3).map(tuple),
+                          min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        return GeneratorSet(g, words), varlen_rule()
+    words = [w for w in words if w != (0,)]
+    hub = draw(st.integers(0, len(words)))
+    return GeneratorSet(g, words[:hub] + [(0,)] + words[hub:]), single_open_rule(hub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(varlen_and_hub_codes())
+def test_verify_matches_the_pair_searches(code):
+    gs, rule = code
+    res = verify_zero_error(gs, rule)
+    assert (res.ok, res.violation) == searched_verdict(gs, rule)
+    assert res.exact

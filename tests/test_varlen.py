@@ -218,3 +218,34 @@ def test_two_factorizations_witness_is_a_shortest_ambiguous_word(words):
     n = len(sum(pair[0], ()))
     for L in range(1, n):
         assert all(factorization_count(gs, w) == 1 for w in enumerate_codewords(gs, L))
+
+
+def pairwise_loop(gs):
+    """The quadratic test that verify_zero_error replaced: the first pair, in
+    the words' order sorted by length, confusable on its shorter length."""
+    confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
+    words = sorted(gs.words, key=len)
+    for i, c in enumerate(words):
+        for cp in words[i + 1:]:
+            if all(confusable[x] >> y & 1 for x, y in zip(c, cp)):
+                return False, (c, cp)
+    return True, None
+
+
+@st.composite
+def prefix_sharing_sets(draw):
+    """Up to eight words over C5, C5+1, C7 or P4, each a short stem drawn
+    from up to three shared ones followed by a short tail."""
+    g = graph_by_name(draw(st.sampled_from(["C5", "C5+1", "C7", "P4"])))
+    letters = st.integers(0, len(g.labels) - 1)
+    stems = draw(st.lists(st.lists(letters, max_size=3), min_size=1, max_size=3))
+    words = draw(st.lists(st.tuples(st.sampled_from(stems), st.lists(letters, max_size=2))
+                          .map(lambda p: tuple(p[0] + p[1])).filter(bool),
+                          min_size=1, max_size=8, unique=True))
+    return GeneratorSet(g, words)
+
+
+@settings(max_examples=250, deadline=None)
+@given(prefix_sharing_sets())
+def test_verify_matches_the_pairwise_loop(gs):
+    assert verify_zero_error(gs) == pairwise_loop(gs)
