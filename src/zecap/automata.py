@@ -80,68 +80,57 @@ Regex = TyUnion[Empty, Epsilon, Letter, Union, Concat, Star]
 
 def parse_regex(text: str) -> Regex:
     """CLI regex syntax: digits as letters, + union, . or juxtaposition for
-    concatenation, * star, parentheses, @ for epsilon, # for the empty set."""
-    pos = 0
+    concatenation, * star, parentheses, @ for epsilon, # for the empty set.
 
-    def peek() -> Optional[str]:
-        return text[pos] if pos < len(text) else None
-
-    def parse_union() -> Regex:
-        nonlocal pos
-        node = parse_concat()
-        while peek() == "+":
-            pos += 1
-            node = Union(node, parse_concat())
-        return node
-
-    def parse_concat() -> Regex:
-        nonlocal pos
-        node = parse_postfix()
-        while True:
-            c = peek()
-            if c == ".":
-                pos += 1
-                node = Concat(node, parse_postfix())
-            elif c is not None and (c.isdigit() or c in "(@#"):
-                node = Concat(node, parse_postfix())
-            else:
-                return node
-
-    def parse_postfix() -> Regex:
-        nonlocal pos
-        node = parse_atom()
-        while peek() == "*":
-            pos += 1
-            node = Star(node)
-        return node
-
-    def parse_atom() -> Regex:
-        nonlocal pos
-        c = peek()
-        if c is None:
-            raise ValueError(f"unexpected end of regex {text!r}")
+    One left-to-right loop builds left-deep trees. Each open parenthesis
+    pushes the union and the concatenation built before it, so nesting depth
+    costs stack entries, not recursion.
+    """
+    stack: list[tuple[Optional[Regex], Optional[Regex]]] = []
+    union: Optional[Regex] = None
+    concat: Optional[Regex] = None
+    pos, end = 0, len(text)
+    while True:  # an atom starts at pos
+        c = text[pos] if pos < end else ""
         if c == "(":
+            stack.append((union, concat))
+            union = concat = None
             pos += 1
-            node = parse_union()
-            if peek() != ")":
-                raise ValueError(f"missing ')' at position {pos} in {text!r}")
-            pos += 1
-            return node
+            continue
+        if not c:
+            raise ValueError(f"unexpected end of regex {text!r}")
         if c == "@":
+            node: Regex = Epsilon()
+        elif c == "#":
+            node = Empty()
+        elif c.isdigit():
+            node = Letter(int(c))
+        else:
+            raise ValueError(f"unexpected character {c!r} at position {pos} in {text!r}")
+        pos += 1
+        while True:  # node is an atom or a closed group
+            while pos < end and text[pos] == "*":
+                node = Star(node)
+                pos += 1
+            concat = node if concat is None else Concat(concat, node)
+            c = text[pos] if pos < end else ""
+            if c == "+":
+                union = concat if union is None else Union(union, concat)
+                concat = None
+            if c == "+" or c == ".":
+                pos += 1
+                break
+            if c and (c.isdigit() or c in "(@#"):
+                break
+            node = concat if union is None else Union(union, concat)
+            if not stack:
+                if pos != end:
+                    raise ValueError(f"trailing input at position {pos} in {text!r}")
+                return node
+            if c != ")":
+                raise ValueError(f"missing ')' at position {pos} in {text!r}")
+            union, concat = stack.pop()
             pos += 1
-            return Epsilon()
-        if c == "#":
-            pos += 1
-            return Empty()
-        if c.isdigit():
-            pos += 1
-            return Letter(int(c))
-        raise ValueError(f"unexpected character {c!r} at position {pos} in {text!r}")
-
-    node = parse_union()
-    if pos != len(text):
-        raise ValueError(f"trailing input at position {pos} in {text!r}")
-    return node
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,8 @@ def cmd_alpha(args) -> int:
             flag = "" if ex else "  (lower bound)"
             lines.append(f"l={l}: alpha={a}{flag}  alpha^(1/l)={_fmt(root)}")
             rows.append([l, a, ex, _fmt(root), _fmt(best)])
-        lines.append(f"capacity lower bound: log2({_fmt(best)}) = {_fmt(math.log2(best))} bits")
+        bound = math.log2(best) if best > 0 else float("-inf")  # no vertices: alpha = 0
+        lines.append(f"capacity lower bound: log2({_fmt(best)}) = {_fmt(bound)} bits")
     _emit(args, payload, lines, rows)
     return EXIT_OK if all(prefix.exact) else EXIT_BUDGET
 
@@ -335,6 +336,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return (EXIT_BUDGET if isinstance(ex, graphs.BudgetExceededError) else
                 EXIT_VIOLATION if isinstance(ex, varlen.NonUniquelyDecodableError) else EXIT_USAGE)
+    except RecursionError:  # e.g. a word of about a thousand letters in --regex
+        print(f"error: input too deep for the recursion limit ({sys.getrecursionlimit()})",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -23,10 +23,6 @@ class BudgetExceededError(Exception):
 Word = tuple[int, ...]
 
 
-def _normalize_word(word: Sequence[int]) -> Word:
-    return tuple(int(x) for x in word)
-
-
 @dataclass(frozen=True)
 class ChannelGraph:
     """Undirected graph over channel inputs; an edge joins confusable inputs."""
@@ -376,8 +372,7 @@ def distinguishable(g: ChannelGraph, a: Sequence[int], b: Sequence[int]) -> bool
     Only the length of the shorter word matters; positions are compared under
     the auto-adjacency convention (equal letters are always confusable).
     """
-    a = _normalize_word(a)
-    b = _normalize_word(b)
+    a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
     if not a or not b:
         raise ValueError("words must be non-empty")
     if len(a) > len(b):

@@ -101,7 +101,8 @@ def rule_from_json(data: dict) -> SuccessionRule:
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Directed multigraph over reachable transmission states.
+    """Directed multigraph over reachable transmission states; state 0 is the
+    zero state, where every code sequence starts and ends.
 
     Edges are letter-labelled: two rule choices reaching the same successor
     with different letters are two edges, since walk counts must count
@@ -110,10 +111,6 @@ class TransitionGraph:
 
     states: tuple[State, ...]
     edges: tuple[Edge, ...]
-
-    @property
-    def zero_state_index(self) -> int:
-        return 0
 
     def state_count(self) -> int:
         return len(self.states)
@@ -188,7 +185,7 @@ def count_sequences(tg: TransitionGraph, up_to: int) -> list[int]:
     """Closed-walk counts from the zero state, exact big integers, counted
     on the lumped quotient, which has the same counts (``numerics.lump``).
     The CLI lumps varlen and single-open codes from ``_length_successors``."""
-    quotient, zero = lump(tg.successors(), tg.zero_state_index)
+    quotient, zero = lump(tg.successors(), 0)
     return count_walks(quotient, zero, (zero,), up_to)
 
 
@@ -211,7 +208,7 @@ def rate(tg: TransitionGraph) -> IntermingledRate:
     graph, so both spectral radii are the growth rate of the same sequence.
     The CLI lumps varlen and single-open codes from ``_length_successors``.
     """
-    quotient, zero = lump(tg.successors(), tg.zero_state_index)
+    quotient, zero = lump(tg.successors(), 0)
     nu = spectral_radius(trim(quotient, zero, (zero,)))
     return IntermingledRate(nu, math.log2(nu) if nu > 0 else float("-inf"))
 
@@ -296,8 +293,7 @@ def _pair_search(tg: TransitionGraph, compatible, differ,
     out: list[list[Edge]] = [[] for _ in tg.states]
     for e in tg.edges:
         out[e[0]].append(e)
-    zero = tg.zero_state_index
-    start, goal = (zero, zero, False), (zero, zero, True)
+    start, goal = (0, 0, False), (0, 0, True)
     parent: dict[tuple[int, int, bool], Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:

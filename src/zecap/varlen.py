@@ -124,7 +124,7 @@ def two_factorizations(gs: GeneratorSet) -> Optional[tuple[tuple[Word, ...], tup
     """
     tg = build_transition_graph(gs, varlen_rule())
     walks = _pair_search(tg, lambda la, lb: la == lb, lambda ea, eb: ea != eb, math.inf)
-    return walks and tuple(tuple(gs.words[e[3]] for e in walk if e[1] == tg.zero_state_index)
+    return walks and tuple(tuple(gs.words[e[3]] for e in walk if e[1] == 0)
                            for walk in walks)
 
 

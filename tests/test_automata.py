@@ -78,6 +78,98 @@ def test_parse_errors():
             parse_regex(bad)
 
 
+def reference_parse_regex(text: str):
+    """The recursive-descent parser that parse_regex replaced, kept as its oracle."""
+    pos = 0
+
+    def peek():
+        return text[pos] if pos < len(text) else None
+
+    def parse_union():
+        nonlocal pos
+        node = parse_concat()
+        while peek() == "+":
+            pos += 1
+            node = Union(node, parse_concat())
+        return node
+
+    def parse_concat():
+        nonlocal pos
+        node = parse_postfix()
+        while True:
+            c = peek()
+            if c == ".":
+                pos += 1
+                node = Concat(node, parse_postfix())
+            elif c is not None and (c.isdigit() or c in "(@#"):
+                node = Concat(node, parse_postfix())
+            else:
+                return node
+
+    def parse_postfix():
+        nonlocal pos
+        node = parse_atom()
+        while peek() == "*":
+            pos += 1
+            node = Star(node)
+        return node
+
+    def parse_atom():
+        nonlocal pos
+        c = peek()
+        if c is None:
+            raise ValueError(f"unexpected end of regex {text!r}")
+        if c == "(":
+            pos += 1
+            node = parse_union()
+            if peek() != ")":
+                raise ValueError(f"missing ')' at position {pos} in {text!r}")
+            pos += 1
+            return node
+        if c == "@":
+            pos += 1
+            return Epsilon()
+        if c == "#":
+            pos += 1
+            return Empty()
+        if c.isdigit():
+            pos += 1
+            return Letter(int(c))
+        raise ValueError(f"unexpected character {c!r} at position {pos} in {text!r}")
+
+    node = parse_union()
+    if pos != len(text):
+        raise ValueError(f"trailing input at position {pos} in {text!r}")
+    return node
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as ex:
+        return f"ValueError: {ex}"
+
+
+regex_texts = st.recursive(
+    st.sampled_from(list("0123@#")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", ".", ""]), inner).map("".join),
+        inner.map(lambda t: t + "*"),
+        inner.map(lambda t: "(" + t + ")")),
+    max_leaves=10)
+
+
+# "²" passes str.isdigit but not int; "٣" passes both
+@settings(max_examples=1000, deadline=None)
+@given(st.text(list("0123456789+.*()@# a²٣"), max_size=20) | regex_texts)
+def test_parse_regex_matches_the_recursive_parser(text):
+    assert parse_outcome(parse_regex, text) == parse_outcome(reference_parse_regex, text)
+
+
+def test_deep_nesting_parses_without_recursion():
+    assert parse_regex("(" * 1200 + "0" + ")" * 1200) == Letter(0)
+
+
 def test_dfa_star_letter():
     dfa = regex_to_dfa(parse_regex("(0)*"))
     # one live state plus the sink

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -604,4 +605,31 @@ def test_rate_and_count_of_a_set_failing_the_prefix_test(capsys, argv, want):
     # 3 is confusable with the prefix of 30, yet {3, 30} is uniquely
     # decodable: the decodability search runs, and the answer is as before
     code, out, err = run(capsys, *argv, "--graph", "C5+1", "--words", "3,30", "--format", "json")
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("sub", ["count", "rate", "series", "dfa-dump"])
+def test_long_word_is_a_usage_error_without_a_traceback(capsys, sub):
+    # the position automaton and the series recurse once per letter
+    code, out, err = run(capsys, sub, "--regex", "(" + "0" * 1200 + ")*")
+    assert (code, out) == (1, "")
+    assert err == f"error: input too deep for the recursion limit ({sys.getrecursionlimit()})\n"
+
+
+def test_count_of_deeply_nested_parentheses(capsys):
+    code, out, err = run(capsys, "count", "--regex", "(" * 1200 + "0" + ")" * 1200,
+                         "--format", "json")
+    assert (code, out, err) == (0, '{"counts": [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n', "")
+
+
+@pytest.mark.parametrize("fmt, want", [
+    ("human", "l=1: alpha=0  alpha^(1/l)=0.000000\nl=2: alpha=0  alpha^(1/l)=0.000000\n"
+              "capacity lower bound: log2(0.000000) = -inf bits\n"),
+    ("json", '{"alpha": [1, 0, 0], "exact": [true, true, true], "rate_lower_bound": 0.0}\n'),
+    ("csv", "l,alpha,exact,root,running_max\n0,1,True,,\n"
+            "1,0,True,0.000000,0.000000\n2,0,True,0.000000,0.000000\n"),
+])
+def test_alpha_of_a_graph_with_no_vertices(capsys, fmt, want):
+    code, out, err = run(capsys, "alpha", "--graph", '{"labels":[],"edges":[]}', "--L", "2",
+                         "--format", fmt)
     assert (code, out, err) == (0, want, "")

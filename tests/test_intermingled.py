@@ -92,11 +92,11 @@ def test_verify_full_rule_fails():
     # both sequences must be emittable by the machine, ending closed
     tg = build_transition_graph(PENTAGON_SET, full_rule())
     for seq in (a, b):
-        frontier = {tg.zero_state_index}
+        frontier = {0}
         for letter in seq:
             frontier = {j for i, j, l, _w in tg.edges
                         if i in frontier and l == letter}
-        assert tg.zero_state_index in frontier
+        assert 0 in frontier
 
 
 def hub_cube():
@@ -167,14 +167,14 @@ HEPTAGON_SET = GeneratorSet.from_strings(C7, ["0", "20", "22", "24", "40", "42",
 
 def emits_by_two_walks(tg, seq):
     """Number of walks from the zero state back to it that emit seq."""
-    walks = {tg.zero_state_index: 1}
+    walks = {0: 1}
     for letter in seq:
         nxt = {}
         for i, j, l, _w in tg.edges:
             if l == letter and i in walks:
                 nxt[j] = nxt.get(j, 0) + walks[i]
         walks = nxt
-    return walks.get(tg.zero_state_index, 0)
+    return walks.get(0, 0)
 
 
 def test_ambiguous_binary_single_open_code_is_rejected():
@@ -266,7 +266,7 @@ def small_codes(draw):
 def closed_walk_strings(tg, up_to):
     """Emitted string of every walk from the zero state back to it, by length."""
     out = [[] for _ in range(up_to + 1)]
-    zero = tg.zero_state_index
+    zero = 0
     by_source = [[] for _ in tg.states]
     for i, j, letter, _w in tg.edges:
         by_source[i].append((j, letter))
@@ -296,7 +296,7 @@ def test_verified_codes_count_distinct_strings_and_rate_is_the_trimmed_spectrum(
     for same_length in strings:  # zero-error: no two codewords are confusable
         for a, b in itertools.combinations(same_length, 2):
             assert any(x != y and not g.has_edge(x, y) for x, y in zip(a, b))
-    zero = tg.zero_state_index
+    zero = 0
     trimmed = trim(tg.successors(), zero, (zero,))
     m = np.zeros((len(trimmed), len(trimmed)))
     for i, targets in enumerate(trimmed):
@@ -358,7 +358,7 @@ def test_rules_build_the_reference_transition_graph(code, family, hub):
 ])
 def test_quotient_sizes_are_pinned(code, rule, states, classes):
     tg = build_transition_graph(code(), rule)
-    quotient, zero = lump(tg.successors(), tg.zero_state_index)
+    quotient, zero = lump(tg.successors(), 0)
     assert (tg.state_count(), len(quotient), zero) == (states, classes, 0)
 
 
@@ -399,7 +399,7 @@ def test_length_automaton_counts_and_rates_like_the_transition_graph(code):
     successors, states = _length_successors(gs, rule)
     quotient, zero = lump(successors, 0)
     assert states == tg.state_count()
-    assert (quotient, zero) == lump(tg.successors(), tg.zero_state_index)
+    assert (quotient, zero) == lump(tg.successors(), 0)
     assert count_walks(quotient, zero, (zero,), 30) == count_sequences(tg, 30)
     assert spectral_radius(trim(quotient, zero, (zero,))) == rate(tg).nu
 
