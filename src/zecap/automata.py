@@ -219,10 +219,12 @@ def _positions(e: Regex) -> tuple[list[int], list[int], int]:
 
 
 def regex_to_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Dfa:
-    """Position automaton, subset construction over bit masks of positions
-    (one OR of a subset's follow masks, then an AND with each letter's mask;
-    subsets numbered breadth-first), then ``_minimize``.  Blocks numbered by
-    their first subset keep the states that ``dfa-dump`` prints stable."""
+    """Position automaton, subset construction over bit masks of positions,
+    then ``_minimize``.  A subset's successors and finality depend only on
+    the OR of its follow masks and whether it holds a final position, so a
+    state is that pair, a follow class (Ilie and Yu, 2003), numbered
+    breadth-first; blocks numbered by their first state keep ``dfa-dump``
+    stable.  Each new mask gets one OR, each class one AND per letter."""
     letter, follow, last = _positions(e)
     if alphabet is None:
         alphabet = sorted(set(letter))
@@ -232,25 +234,31 @@ def regex_to_dfa(e: Regex, alphabet: Optional[Sequence[int]] = None) -> Dfa:
         if missing:
             raise ValueError(f"expression letters {sorted(missing)} not in alphabet")
     alphabet = tuple(alphabet)
-    letter_masks = [sum(1 << p for p, b in enumerate(letter) if b == a) for a in alphabet]
-    subsets = [1 << (len(follow) - 1)]
-    index = {subsets[0]: 0}
+    masks = dict.fromkeys(alphabet, 0)  # the positions of each letter
+    for p, a in enumerate(letter):
+        masks[a] |= 1 << p
+    letter_masks = [masks[a] for a in alphabet]
+    start = 1 << (len(follow) - 1)
+    reaches = [follow[-1]]  # the follow OR of each class
+    classes = {(follow[-1], bool(start & last)): 0}
+    state = {start: 0}  # the class of each subset mask
     table: list[list[int]] = []
-    for cur in subsets:  # grows while it is walked
-        reach = 0
-        while cur:
-            low = cur & -cur
-            reach |= follow[low.bit_length() - 1]
-            cur ^= low
+    for reach in reaches:  # grows while it is walked
         row = []
         for mask in letter_masks:
-            nxt = reach & mask
-            if nxt not in index:
-                index[nxt] = len(subsets)
-                subsets.append(nxt)
-            row.append(index[nxt])
+            sub = reach & mask
+            if sub not in state:
+                nxt, cur = 0, sub
+                while cur:
+                    low = cur & -cur
+                    nxt |= follow[low.bit_length() - 1]
+                    cur ^= low
+                state[sub] = classes.setdefault((nxt, bool(sub & last)), len(reaches))
+                if state[sub] == len(reaches):
+                    reaches.append(nxt)
+            row.append(state[sub])
         table.append(row)
-    accepting = {i for i, sub in enumerate(subsets) if sub & last}
+    accepting = {i for (_, final), i in classes.items() if final}
     return _minimize(alphabet, table, 0, accepting)
 
 
@@ -290,33 +298,54 @@ def generator_series(e: Regex) -> RationalFraction:
     root, against a DFA of e (see _check_against_dfa).  Subexpressions are
     checked one by one, in post-order, only to name the first one whose
     union, concatenation or star is ambiguous, or when e contains #.
+
+    Every letter is z, so a node's series depends only on its shape with the
+    letters erased: shapes are numbered by node type and children's numbers,
+    and each is composed once.  A left-deep chain of unions is one shape,
+    summed by ``RationalFraction.total``.
     """
+    # shape -> index into series; a leaf's shape is its type
+    number: dict[tuple, int] = {(Empty,): 0, (Epsilon,): 1, (Letter,): 2}
+    series = [RationalFraction.from_int(0), RationalFraction.from_int(1), RationalFraction.z()]
     met_empty = False
 
-    def compose(node: Regex, check_each: bool) -> RationalFraction:
+    def shape(key: tuple) -> int:
+        if key not in number:
+            f = series[key[1]]
+            number[key] = len(series)
+            series.append(f * series[key[2]] if key[0] is Concat else f.star() if key[0] is Star
+                          else RationalFraction.total(series[i] for i in key[1:]))
+        return number[key]
+
+    def compose(node: Regex, check_each: bool) -> int:
         nonlocal met_empty
-        if isinstance(node, Empty):
-            met_empty = True
-            return RationalFraction.from_int(0)
-        if isinstance(node, Epsilon):
-            return RationalFraction.from_int(1)
-        if isinstance(node, Letter):
-            return RationalFraction.z()
+        if isinstance(node, (Empty, Epsilon, Letter)):
+            met_empty = met_empty or isinstance(node, Empty)
+            return number[(type(node),)]
         if isinstance(node, Union):
-            f = compose(node.left, check_each) + compose(node.right, check_each)
-        elif isinstance(node, Concat):
-            f = compose(node.left, check_each) * compose(node.right, check_each)
+            chain = []
+            while isinstance(node, Union):
+                chain.append(node)
+                node = node.left
+            key = [Union, compose(node, check_each)]
+            for u in reversed(chain):  # in post-order, each union after its right side
+                key.append(compose(u.right, check_each))
+                if check_each:
+                    _check_against_dfa(u, series[shape(tuple(key))], regex_to_dfa(u))
+            return shape(tuple(key))
+        if isinstance(node, Concat):
+            i = shape((Concat, compose(node.left, check_each), compose(node.right, check_each)))
         elif isinstance(node, Star):
             inner = compose(node.inner, check_each)
-            if inner.value_at_zero() != 0:
+            if series[inner].value_at_zero() != 0:
                 raise AmbiguousExpressionError(
                     "starred language contains the empty word", node)
-            f = inner.star()
+            i = shape((Star, inner))
         else:
             raise TypeError(f"not a regex node: {node!r}")
         if check_each:
-            _check_against_dfa(node, f, regex_to_dfa(node))
-        return f
+            _check_against_dfa(node, series[i], regex_to_dfa(node))
+        return i
 
     # One check at the root suffices.  Let s be the composed series and c the
     # word counts; both have nonnegative coefficients.  By induction s >= c
@@ -327,13 +356,13 @@ def generator_series(e: Regex) -> RationalFraction:
     # is empty: c(G) = 0 makes c(FG) = 0 whatever F is.  A language can be
     # empty only if e contains Empty; then every subexpression is checked.
     try:
-        f = compose(e, False)
+        f = series[compose(e, False)]
         if not met_empty:
             _check_against_dfa(e, f, regex_to_dfa(e))
             return f
     except AmbiguousExpressionError:
         pass  # redo with every check, to name the first failing node
-    return compose(e, True)
+    return series[compose(e, True)]
 
 
 def _check_against_dfa(node: Regex, f: RationalFraction, dfa: Dfa) -> None:

@@ -203,6 +203,16 @@ class RationalFraction:
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator)
 
+    @staticmethod
+    def total(fractions: Iterable["RationalFraction"]) -> "RationalFraction":
+        """The sum of at least one fraction.  The numerators over one
+        denominator are added first, so each denominator costs one reduction."""
+        groups: dict[IntPolynomial, IntPolynomial] = {}
+        for f in fractions:
+            groups[f.denominator] = f.numerator + groups.get(f.denominator, IntPolynomial([]))
+        parts = [RationalFraction(n, d) for d, n in groups.items()]
+        return sum(parts[1:], parts[0])
+
     def __mul__(self, other: "RationalFraction") -> "RationalFraction":
         # both factors are in lowest terms, so a common factor of the
         # product pairs one numerator with the other denominator

@@ -31,9 +31,9 @@ class GeneratorSet:
             raise ValueError("generator words must be non-empty")
         if len(set(normalized)) != len(normalized):
             raise ValueError("generator words must be pairwise distinct")
-        for w in normalized:
-            if not graph.word_in_range(w):
-                raise ValueError(f"word {w} uses out-of-range vertex index")
+        if not graph.word_in_range({x for w in normalized for x in w}):
+            w = next(w for w in normalized if not graph.word_in_range(w))
+            raise ValueError(f"word {w} uses out-of-range vertex index")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "words", normalized)
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import random
 import re
 
 import pytest
@@ -14,8 +16,8 @@ from zecap.automata import (AmbiguousExpressionError, Concat, Dfa, Empty, Epsilo
                             generator_series, parse_regex,
                             rational_code_rate, regex_to_dfa)
 from zecap.graphs import complete, cycle, graph_by_name, one_vertex
-from zecap.numerics import (RationalFraction, count_walks, series_coefficients,
-                            spectral_radius, trim)
+from zecap.numerics import (RationalFraction, count_walks, polynomial_gcd,
+                            series_coefficients, spectral_radius, trim)
 
 HUB_REGEX = "(0+1(0)*1+2(0)*3+3(0)*5+4(0)*2+5(0)*4)*"
 
@@ -719,3 +721,107 @@ def test_without_removes_a_sub_multiset(key, data):
     for i in part:
         rest.remove(i)
     assert zecap.automata._without(key, part) == tuple(rest)
+
+
+# ---------------------------------------------------------------------------
+# Wide unions: shared shapes, alternatives summed per denominator
+
+
+def relabel(node, letters):
+    if isinstance(node, Letter):
+        return Letter(letters[node.symbol])
+    if isinstance(node, (Union, Concat)):
+        return type(node)(relabel(node.left, letters), relabel(node.right, letters))
+    if isinstance(node, Star):
+        return Star(relabel(node.inner, letters))
+    return node
+
+
+pool_subtrees = st.recursive(
+    st.sampled_from([Letter(a) for a in range(4)]),
+    lambda inner: st.one_of(st.builds(Union, inner, inner),
+                            st.builds(Concat, inner, inner),
+                            st.builds(Star, inner)),
+    max_leaves=4)
+
+
+# (0^k)*: the block of alternatives f, z f, ..., z^(k-1) f sums to a
+# fraction that a reduction takes to 1 / (1 - z)
+starred_powers = st.integers(2, 3).map(lambda k: Star(functools.reduce(Concat, [Letter(0)] * k)))
+
+
+@st.composite
+def wide_unions(draw):
+    """A left-deep union of 2 to 12 alternatives, in blocks t, t0, t00 of
+    one to three, each t a subtree from a pool of one or two with its
+    letters 0-3 renamed, so that shapes repeat and denominators coincide.
+    Distinct two-letter prefixes, when drawn, make the union itself
+    unambiguous."""
+    pool = draw(st.lists(starred_powers | pool_subtrees, min_size=1, max_size=2))
+    n, alternatives = draw(st.integers(2, 12)), []
+    while len(alternatives) < n:
+        t = relabel(draw(st.sampled_from(pool)), draw(st.permutations(range(4))))
+        for _ in range(min(draw(st.integers(1, 3)), n - len(alternatives))):
+            alternatives.append(t)
+            t = Concat(t, Letter(0))
+    if draw(st.booleans()):
+        prefixes = draw(st.permutations(list(itertools.product(range(4), repeat=2))))
+        alternatives = [Concat(Concat(Letter(a), Letter(b)), t)
+                        for (a, b), t in zip(prefixes, alternatives)]
+    e = functools.reduce(Union, alternatives)
+    return draw(st.sampled_from([e, Star(e), Concat(Letter(0), e), Union(Letter(1), e)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_unions())
+def test_wide_union_series_matches_per_subexpression_series(e):
+    # str, not ==: the printed series must match, and == cross-multiplies
+    assert str(outcome(generator_series, e)) == str(outcome(per_subexpression_series, e))
+
+
+HUB81_REGEX = "(0+" + "+".join(f"{a}(0)*{b}" for a in range(1, 10) for b in range(1, 10)) + ")*"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(00)*+0(00)*", "(1) / (-z +1)"),  # the grouped sum needs a reduction
+    ("1+2(0)*+3(00)*+45+5(0)*6+6(00)*7", None),  # denominators 1, 1 - z and 1 - z^2
+    pytest.param(HUB81_REGEX, "(-z +1) / (-80z^2 -2z +1)", id="hub81"),
+])
+def test_wide_union_series_on_fixed_expressions(text, want):
+    e = parse_regex(text)
+    got = str(generator_series(e))
+    assert got == str(per_subexpression_series(e))
+    assert want is None or got == want
+
+
+def test_hub_series_takes_at_most_two_gcds(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return polynomial_gcd(a, b)
+
+    monkeypatch.setattr(zecap.numerics, "polynomial_gcd", counting)
+    assert str(generator_series(parse_regex(HUB81_REGEX))) == "(-z +1) / (-80z^2 -2z +1)"
+    assert len(calls) <= 2
+
+
+def long_words_regex(lengths, rng):
+    """A starred union of words ending in 0, with distinct first letters and
+    distinct letters before the final 0."""
+    firsts, lasts = rng.sample(range(1, 10), len(lengths)), rng.sample(range(1, 10), len(lengths))
+    words = [str(f) + "".join(rng.choice("123456789") for _ in range(L - 3)) + f"{z}0"
+             for f, z, L in zip(firsts, lasts, lengths)]
+    return "(" + "+".join(words) + ")*"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(HUB81_REGEX, id="hub81"),
+    pytest.param(long_words_regex((9, 14, 21, 31, 42, 53), random.Random(53)), id="long53"),
+])
+def test_follow_class_dfa_equals_references_on_large_expressions(text):
+    e = parse_regex(text)
+    alphabet = sorted(letters_of(e))
+    dfa = regex_to_dfa(e)
+    assert dfa == frozenset_moore_dfa(e, alphabet)
+    assert dfa == thompson_dfa(e, alphabet)
