@@ -150,15 +150,12 @@ class Dfa:
     def state_count(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, symbol: int) -> int:
-        return self.transitions[state][self.alphabet.index(symbol)]
-
     def accepts(self, word: Sequence[int]) -> bool:
         s = self.start
         for x in word:
             if x not in self.alphabet:
                 return False
-            s = self.step(s, x)
+            s = self.transitions[s][self.alphabet.index(x)]
         return s in self.accepting
 
     def to_json(self) -> str:
@@ -382,10 +379,6 @@ class RationalCode:
 
     inner: Regex
 
-    @property
-    def expression(self) -> Star:
-        return Star(self.inner)
-
     @staticmethod
     def from_expression(e: Regex) -> "RationalCode":
         if not isinstance(e, Star):
@@ -426,7 +419,7 @@ def rational_code_rate(code: RationalCode) -> RationalRate:
     pole lies closer to 0.  A finite series means the inner language is
     empty: the code is {ε} and its rate is 0.
     """
-    f = generator_series(code.expression)
+    f = generator_series(Star(code.inner))
     if f.denominator.degree == 0:
         return RationalRate(0.0, float("-inf"), None, f, polynomial_growth=True)
     lo, hi = smallest_positive_root(f.denominator)

@@ -184,16 +184,9 @@ def is_automorphism(g: ChannelGraph, perm: Sequence[int]) -> bool:
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(n)):
         return False
-    for u in range(n):
-        mapped = 0
-        m = g.neighbor_masks[u]
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            mapped |= 1 << perm[lsb.bit_length() - 1]
-        if mapped != g.neighbor_masks[perm[u]]:
-            return False
-    return True
+    bit = [1 << p for p in perm]
+    return all(sum(bit[v] for v in _bits(m)) == g.neighbor_masks[p]
+               for m, p in zip(g.neighbor_masks, perm))
 
 
 def lift_automorphisms(perms: Sequence, l: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -388,9 +381,6 @@ class IndependenceResult:
     witness: tuple[int, ...]
     exact: bool
     nodes: int = 0
-
-    def __iter__(self):
-        return iter((self.alpha, self.witness))
 
 
 def _greedy_independent_set(masks: Sequence[int], cand: int) -> list[int]:

@@ -182,10 +182,15 @@ def _length_successors(gs: GeneratorSet, rule: SuccessionRule) -> tuple[list[lis
 
 
 def count_sequences(tg: TransitionGraph, up_to: int) -> list[int]:
-    """Closed-walk counts from the zero state, exact big integers, counted
-    on the lumped quotient, which has the same counts (``numerics.lump``).
-    The CLI lumps varlen and single-open codes from ``_length_successors``."""
-    quotient, zero = lump(tg.successors(), 0)
+    """Closed-walk counts from the zero state, exact big integers."""
+    return _count(tg.successors(), up_to)
+
+
+def _count(successors: list[list[int]], up_to: int) -> list[int]:
+    """Closed walks at state 0 of the successor lists, counted on the lumped
+    quotient, which has the same counts (``numerics.lump``).  The CLI passes
+    the lists of ``_length_successors``."""
+    quotient, zero = lump(successors, 0)
     return count_walks(quotient, zero, (zero,), up_to)
 
 
@@ -196,8 +201,13 @@ class IntermingledRate:
 
 
 def rate(tg: TransitionGraph) -> IntermingledRate:
-    """Growth of the closed walks at the zero state, as the spectral radius
-    of the trimmed lumped quotient.
+    """Growth of the closed walks at the zero state (``_rate``)."""
+    return _rate(tg.successors())
+
+
+def _rate(successors: list[list[int]]) -> IntermingledRate:
+    """Growth of the closed walks at state 0 of the successor lists, as the
+    spectral radius of the trimmed lumped quotient.
 
     Only states on a closed walk at zero carry codewords, and trimming to
     them leaves the zero state alone or one strongly connected graph, whose
@@ -206,9 +216,9 @@ def rate(tg: TransitionGraph) -> IntermingledRate:
     A P = P B, so B's spectrum is part of A's, and it has the same closed
     walks at zero as A; its trimmed graph is again one strongly connected
     graph, so both spectral radii are the growth rate of the same sequence.
-    The CLI lumps varlen and single-open codes from ``_length_successors``.
+    The CLI passes the lists of ``_length_successors``.
     """
-    quotient, zero = lump(tg.successors(), 0)
+    quotient, zero = lump(successors, 0)
     nu = spectral_radius(trim(quotient, zero, (zero,)))
     return IntermingledRate(nu, math.log2(nu) if nu > 0 else float("-inf"))
 

@@ -98,10 +98,6 @@ class IntPolynomial:
     def leading(self) -> int:
         return self.coefficients[-1] if self.coefficients else 0
 
-    def reversed_coefficients(self) -> "IntPolynomial":
-        """The reciprocal polynomial z^deg * p(1/z)."""
-        return IntPolynomial(list(reversed(self.coefficients)))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -351,7 +347,7 @@ def unique_positive_root(p: IntPolynomial) -> float:
     inverse of the positive root of 1 - sum a_l z^l, decreasing on (0, inf)."""
     if not _is_rate_characteristic(p):
         raise ValueError("polynomial is not of the form X^n - sum a_l X^(n-l) with a_l >= 0")
-    lo, hi = smallest_positive_root(p.reversed_coefficients())
+    lo, hi = smallest_positive_root(IntPolynomial(list(reversed(p.coefficients))))  # z^n p(1/z)
     return float(2 / (lo + hi))
 
 
@@ -590,10 +586,6 @@ class CompanionMatrix:
 
     last_row: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.last_row)
-
     @staticmethod
     def from_characteristic(p: IntPolynomial) -> "CompanionMatrix":
         if not _is_rate_characteristic(p):
@@ -601,7 +593,7 @@ class CompanionMatrix:
         return CompanionMatrix(tuple(-c for c in p.coefficients[:-1]))
 
     def matrix(self) -> list[list[int]]:
-        n = self.order
+        n = len(self.last_row)
         rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]
         rows.append(list(self.last_row))
         return rows

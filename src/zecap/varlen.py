@@ -139,7 +139,11 @@ def _require_uniquely_decodable(gs: GeneratorSet) -> None:
             f"generator set is not uniquely decodable: {a} = {b}")
 
 
-def _distinct_concatenations(gs: GeneratorSet, length: int) -> list[Word]:
+def enumerate_codewords(gs: GeneratorSet, length: int, cap: int = 10 ** 6) -> list[Word]:
+    """All distinct concatenations of exactly the given length, sorted."""
+    expected = _count_factorizations(gs, length)[length]
+    if expected > cap:
+        raise BudgetExceededError(f"{expected} codewords exceed enumeration cap {cap}")
     by_length: list[set[Word]] = [set() for _ in range(length + 1)]
     by_length[0].add(())
     for L in range(1, length + 1):
@@ -148,14 +152,6 @@ def _distinct_concatenations(gs: GeneratorSet, length: int) -> list[Word]:
                 for prefix in by_length[L - len(w)]:
                     by_length[L].add(prefix + w)
     return sorted(by_length[length])
-
-
-def enumerate_codewords(gs: GeneratorSet, length: int, cap: int = 10 ** 6) -> list[Word]:
-    """All distinct concatenations of exactly the given length, sorted."""
-    expected = _count_factorizations(gs, length)[length]
-    if expected > cap:
-        raise BudgetExceededError(f"{expected} codewords exceed enumeration cap {cap}")
-    return _distinct_concatenations(gs, length)
 
 
 @dataclass(frozen=True)

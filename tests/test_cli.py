@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -633,3 +634,18 @@ def test_alpha_of_a_graph_with_no_vertices(capsys, fmt, want):
     code, out, err = run(capsys, "alpha", "--graph", '{"labels":[],"edges":[]}', "--L", "2",
                          "--format", fmt)
     assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (["verify", "--graph", "C5+1", "--words", "11,112"], 2),
+    (["rate", "--regex", "(0+11)*"], 0),
+    (["dfa-dump", "--regex", "(0+11)*"], 0),
+])
+def test_csv_fields_holding_commas_are_quoted(capsys, argv, want_code):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == want_code
+    assert rows and all(len(row) == 2 for row in rows)
+    fields = dict(rows)
+    if "violation" in fields:
+        assert json.loads(fields["violation"]) == [[1, 1], [1, 1, 2]]

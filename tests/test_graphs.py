@@ -272,6 +272,21 @@ def test_cycle_power_symmetries_are_automorphisms():
     assert not is_automorphism(g, [0, 0, 1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]), st.integers(0, 2 ** 32),
+       st.booleans())
+def test_is_automorphism_matches_the_mapped_edge_set(n, p, seed, repeat):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    perm = rng.sample(range(n), n)
+    if repeat and n > 1:  # not a permutation: one entry taken twice
+        i, j = rng.sample(range(n), 2)
+        perm[i] = perm[j]
+    edges = {frozenset(e) for e in g.edges()}
+    mapped = {frozenset((perm[u], perm[v])) for u, v in g.edges()}
+    assert is_automorphism(g, perm) == (len(set(perm)) == n and mapped == edges)
+
+
 def test_alpha_with_symmetry_matches_plain():
     for l in (1, 2, 3):
         g = strong_power(cycle(5), l)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zecap.graphs import cycle, distinguishable, graph_by_name
+from zecap.graphs import BudgetExceededError, cycle, distinguishable, graph_by_name
 from zecap.varlen import (GeneratorSet, NonUniquelyDecodableError,
                           count_concatenations, enumerate_codewords, rate,
                           two_factorizations, verify_zero_error)
@@ -96,6 +96,14 @@ def test_count_matches_enumeration():
         counts = count_concatenations(gs, 6)
         for L in range(7):
             assert counts[L] == len(enumerate_codewords(gs, L))
+
+
+def test_enumeration_cap_is_the_factorization_count():
+    count = count_concatenations(PENTAGON_SET, 6)[6]
+    with pytest.raises(BudgetExceededError):
+        enumerate_codewords(PENTAGON_SET, 6, cap=count - 1)
+    words = enumerate_codewords(PENTAGON_SET, 6, cap=count)
+    assert len(words) == count and words == sorted(words)
 
 
 def test_count_rejects_ambiguous_set():
