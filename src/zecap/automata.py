@@ -77,6 +77,8 @@ class Star:
 
 Regex = TyUnion[Empty, Epsilon, Letter, Union, Concat, Star]
 
+_LETTERS = {str(d): Letter(d) for d in range(10)}  # leaves are immutable, so shared
+
 
 def parse_regex(text: str) -> Regex:
     """CLI regex syntax: digits as letters, + union, . or juxtaposition for
@@ -104,7 +106,7 @@ def parse_regex(text: str) -> Regex:
         elif c == "#":
             node = Empty()
         elif c.isdigit():
-            node = Letter(int(c))
+            node = _LETTERS.get(c) or Letter(int(c))
         else:
             raise ValueError(f"unexpected character {c!r} at position {pos} in {text!r}")
         pos += 1
@@ -158,14 +160,17 @@ class Dfa:
             s = self.transitions[s][self.alphabet.index(x)]
         return s in self.accepting
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_data(self) -> dict:
+        return {
             "alphabet": list(self.alphabet),
             "transitions": [list(row) for row in self.transitions],
             "start": self.start,
             "accepting": sorted(self.accepting),
             "sink": self.sink,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_data())
 
 
 def _positions(e: Regex) -> tuple[list[int], list[int], int]:
@@ -280,12 +285,24 @@ def _minimize(alphabet: tuple[int, ...], table: list[list[int]], start: int,
 # Counting and series
 
 
-def count_language(dfa: Dfa, up_to: int) -> list[int]:
-    """Words accepted per length, exact, by counting walks on the DFA; walks
-    into the sink, which accept nothing, are dropped."""
+def _accepting_quotient(dfa: Dfa) -> tuple[list[list[int]], int, list[int]]:
+    """The sink-stripped DFA lumped by ``numerics._refine`` from accepting /
+    non-accepting labels: the quotient, the start's class and the accepting
+    classes.  ``numerics.lump``'s A P = P B holds; the accepting set is a
+    union of classes and P's row at the start picks its class, so accepted
+    walks number the same on both graphs."""
     sink = dfa.sink
     successors = [[t for t in row if t != sink] for row in dfa.transitions]
-    return count_walks(successors, dfa.start, dfa.accepting, up_to)
+    block, quotient = _refine(successors, [s in dfa.accepting for s in range(len(successors))],
+                              ordered=False)
+    return quotient, block[dfa.start], sorted({block[s] for s in dfa.accepting})
+
+
+def count_language(dfa: Dfa, up_to: int) -> list[int]:
+    """Words accepted per length, exact, by counting walks on the DFA's
+    accepting-labelled quotient (``_accepting_quotient``); walks into the
+    sink, which accept nothing, are dropped."""
+    return count_walks(*_accepting_quotient(dfa), up_to)
 
 
 def generator_series(e: Regex) -> RationalFraction:
@@ -363,10 +380,15 @@ def generator_series(e: Regex) -> RationalFraction:
 
 
 def _check_against_dfa(node: Regex, f: RationalFraction, dfa: Dfa) -> None:
-    # DFA counts are P/Q with deg P < |states|, deg Q <= |states|, Q(0) = 1, so f - P/Q
-    # has a numerator of degree <= window: agreement through the window proves f = P/Q.
-    window = max(f.numerator.degree, f.denominator.degree) + dfa.state_count()
-    expected = count_language(dfa, window)
+    """AmbiguousExpressionError unless f = P/Q counts the DFA's words.
+
+    The n-class quotient of ``_accepting_quotient`` counts u B^L v: N/D with
+    D = det(I - zB), deg D <= n, D(0) = 1, deg N < n.  So f - N/D has a
+    numerator of degree <= max(deg P, deg Q) + n, the window: agreement
+    through it proves f = N/D."""
+    quotient, start, accepting = _accepting_quotient(dfa)
+    window = max(f.numerator.degree, f.denominator.degree) + len(quotient)
+    expected = count_walks(quotient, start, accepting, window)
     got = series_coefficients(f, window)
     if got != expected:
         raise AmbiguousExpressionError(
@@ -384,22 +406,6 @@ class RationalCode:
         if not isinstance(e, Star):
             raise ValueError("a rational code must be a starred expression")
         return RationalCode(e.inner)
-
-    def length_gcd(self) -> int:
-        """gcd of the inner language's word lengths.
-
-        Lengths below 2n, n = |states|, suffice.  Let d(v) be the BFS distance
-        from the start to v and e(v) the distance from v to an accepting
-        state, both below n on useful states.  An accepted path s = v_0 -> ...
-        -> v_m has m = d(v_m) + sum_i (d(v_i) + 1 - d(v_i+1)).  Here d(v_m) is
-        an accepted length, and each term is the difference of the accepted
-        lengths d(v_i) + 1 + e(v_i+1) <= 2n - 1 and d(v_i+1) + e(v_i+1).  So
-        the gcd of the accepted lengths below 2n divides m.
-        """
-        dfa = regex_to_dfa(self.inner)
-        counts = count_language(dfa, 2 * dfa.state_count())
-        lengths = [l for l, c in enumerate(counts) if c and l > 0]
-        return math.gcd(*lengths) if lengths else 1
 
 
 @dataclass(frozen=True)

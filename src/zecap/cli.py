@@ -250,7 +250,7 @@ def cmd_dfa_dump(args) -> int:
     if args.regex is None:
         raise CliError("dfa-dump needs --regex")
     dfa = automata.regex_to_dfa(automata.parse_regex(args.regex))
-    payload = json.loads(dfa.to_json())
+    payload = dfa.to_data()
     lines = [f"states: {dfa.state_count()}  start: {dfa.start}  "
              f"accepting: {sorted(dfa.accepting)}  sink: {dfa.sink}",
              "alphabet: " + " ".join(map(str, dfa.alphabet))]

@@ -304,16 +304,20 @@ def smallest_positive_root(p: IntPolynomial) -> tuple[Fraction, Fraction]:
     root x of p, in exact integer arithmetic; ValueError if there is none.
 
     Dividing out roots at 0 and repeated factors leaves a square-free q with
-    q(0) != 0.  By Sturm's theorem q has V(0) - V(t) roots in (0, t], V(t)
-    the sign changes of q, q', -rem(q, q'), ... at t.  Bisection on that
-    count isolates x; then q(t) differs in sign from q(0) exactly when t >= x.
+    q(0) != 0.  When q's coefficients change sign once, q has exactly one
+    positive root (Descartes' rule of signs).  Otherwise, by Sturm's theorem,
+    q has V(0) - V(t) roots in (0, t], V(t) the sign changes of q, q',
+    -rem(q, q'), ... at t, and bisection on that count isolates x.  Once x is
+    isolated, q(t) differs in sign from q(0) exactly when t >= x.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
     q = IntPolynomial(p.coefficients[next(i for i, c in enumerate(p.coefficients) if c):])
     q = _exact_div(q, polynomial_gcd(q, q.derivative()))
-    sturm = [q, q.derivative()]
-    while sturm[-1].degree > 0:
+    signs = [c > 0 for c in q.coefficients if c]
+    once = sum(a != b for a, b in zip(signs, signs[1:])) == 1  # Descartes: one root
+    sturm = [] if once else [q, q.derivative()]
+    while sturm and sturm[-1].degree > 0:
         # the pseudo-remainder is a positive multiple of the remainder
         # when the divisor's leading coefficient is positive
         b = sturm[-1] if sturm[-1].leading() > 0 else -sturm[-1]
@@ -326,7 +330,7 @@ def smallest_positive_root(p: IntPolynomial) -> tuple[Fraction, Fraction]:
     v0, sign0 = variations(0, 0), _sign_at(q, 0, 0)
     # every root has modulus below 1 + max |c_i| <= hi (Cauchy)
     lo, hi, k = 0, 1 << max(abs(c) for c in q.coefficients).bit_length(), 0
-    inside = v0 - variations(hi, k)  # roots in (lo, hi], none in (0, lo]
+    inside = 1 if once else v0 - variations(hi, k)  # roots in (lo, hi], none in (0, lo]
     if not inside:
         raise ValueError(f"polynomial {p} has no positive root")
     while inside > 1 or (hi - lo) << 64 >= lo:

@@ -6,12 +6,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zecap.automata
 from zecap.automata import (AmbiguousExpressionError, Concat, Dfa, Empty, Epsilon,
-                            Letter, RationalCode, Star, Union,
+                            Letter, RationalCode, Star, Union, _check_against_dfa,
                             channel_series_prefix, count_language,
                             generator_series, parse_regex,
                             rational_code_rate, regex_to_dfa)
@@ -349,11 +349,6 @@ def test_ambiguous_star_beyond_old_window():
         generator_series(e)
     with pytest.raises(AmbiguousExpressionError):
         rational_code_rate(RationalCode.from_expression(e))
-
-
-def test_rational_code_length_gcd():
-    assert RationalCode.from_expression(parse_regex("(00+11)*")).length_gcd() == 2
-    assert RationalCode.from_expression(parse_regex(HUB_REGEX)).length_gcd() == 1
 
 
 def test_channel_series_prefix_c5():
@@ -825,3 +820,61 @@ def test_follow_class_dfa_equals_references_on_large_expressions(text):
     dfa = regex_to_dfa(e)
     assert dfa == frozenset_moore_dfa(e, alphabet)
     assert dfa == thompson_dfa(e, alphabet)
+
+
+# ---------------------------------------------------------------------------
+# Counting on the accepting-labelled quotient, and the window it sizes
+
+
+def composed_series(node):
+    """The series by the composition rules alone, unchecked; None when a
+    starred series has a constant term."""
+    if isinstance(node, (Empty, Epsilon)):
+        return RationalFraction.from_int(int(isinstance(node, Epsilon)))
+    if isinstance(node, Letter):
+        return RationalFraction.z()
+    if isinstance(node, Star):
+        inner = composed_series(node.inner)
+        return None if inner is None or inner.value_at_zero() else inner.star()
+    left, right = composed_series(node.left), composed_series(node.right)
+    if left is None or right is None:
+        return None
+    return left + right if isinstance(node, Union) else left * right
+
+
+def sink_free_walks(dfa, up_to):
+    successors = [[t for t in row if t != dfa.sink] for row in dfa.transitions]
+    return count_walks(successors, dfa.start, dfa.accepting, up_to)
+
+
+def check_with_state_window(node, f, dfa):
+    """Reference: the series check with the window sized by the DFA's state
+    count, counted on the DFA itself."""
+    window = max(f.numerator.degree, f.denominator.degree) + dfa.state_count()
+    if series_coefficients(f, window) != sink_free_walks(dfa, window):
+        raise AmbiguousExpressionError("series composition disagrees with word counts", node)
+
+
+starred_word_unions = st.lists(st.text("012", min_size=1, max_size=8), min_size=1,
+                               max_size=4).map(lambda words: parse_regex(f"({'+'.join(words)})*"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(three_letter_expressions | starred_word_unions)
+@example(parse_regex("((1)*1)*"))  # the counts first differ one index before the window ends
+@example(parse_regex("(0+00)*"))
+@example(parse_regex("(0+" + "0" * 20 + ")*"))
+def test_quotient_window_check_agrees_with_the_state_window_check(e):
+    f = composed_series(e)
+    if f is None:
+        return
+    dfa = regex_to_dfa(e)
+    assert outcome(lambda node: _check_against_dfa(node, f, dfa), e) == \
+        outcome(lambda node: check_with_state_window(node, f, dfa), e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(three_letter_expressions | starred_word_unions, st.booleans())
+def test_count_language_on_the_quotient_matches_walks_on_the_dfa(e, extend):
+    dfa = regex_to_dfa(e, [0, 1, 2, 3] if extend else None)
+    assert count_language(dfa, 30) == sink_free_walks(dfa, 30)

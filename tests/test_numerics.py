@@ -5,11 +5,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zecap.numerics import (CompanionMatrix, IntPolynomial, MultipleRootError,
-                            RationalFraction, _cancel, _exact_div, _refine, aberth_roots,
+                            RationalFraction, _cancel, _exact_div, _pseudo_remainder,
+                            _refine, _sign_at, aberth_roots,
                             closed_form_counts, count_walks, linear_recurrence_extend, lump,
                             polynomial_gcd, series_coefficients, smallest_positive_root,
                             spectral_radius, trim, unique_positive_root)
@@ -177,6 +178,68 @@ def test_smallest_positive_root_matches_sympy(base, repeated, dyadic, zeros):
     if p.is_zero:
         return
     assert_encloses_smallest_positive_root(p)
+
+
+def sturm_only_smallest_positive_root(p):
+    """Reference: isolation by Sturm sequence alone, without the shortcut for
+    one sign change."""
+    q = IntPolynomial(p.coefficients[next(i for i, c in enumerate(p.coefficients) if c):])
+    q = _exact_div(q, polynomial_gcd(q, q.derivative()))
+    sturm = [q, q.derivative()]
+    while sturm[-1].degree > 0:
+        b = sturm[-1] if sturm[-1].leading() > 0 else -sturm[-1]
+        sturm.append(-_pseudo_remainder(sturm[-2], b).primitive())
+
+    def variations(m, k):
+        signs = [x for x in (_sign_at(s, m, k) for s in sturm) if x]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    v0, sign0 = variations(0, 0), _sign_at(q, 0, 0)
+    lo, hi, k = 0, 1 << max(abs(c) for c in q.coefficients).bit_length(), 0
+    inside = v0 - variations(hi, k)
+    if not inside:
+        raise ValueError(f"polynomial {p} has no positive root")
+    while inside > 1 or (hi - lo) << 64 >= lo:
+        lo, hi, k, mid = 2 * lo, 2 * hi, k + 1, lo + hi
+        if inside > 1:
+            count = v0 - variations(mid, k)
+        else:
+            count = int(_sign_at(q, mid, k) != sign0)
+        if count:
+            hi, inside = mid, count
+        else:
+            lo = mid
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+
+
+def root_or_error(find, p):
+    try:
+        return find(p)
+    except ValueError as ex:
+        return str(ex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=4).filter(any),
+       st.lists(st.integers(-9, 0), min_size=1, max_size=4).filter(any),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any),
+       st.booleans(), st.integers(0, 2))
+@example([1], [-2], [1, 1], False, 0)     # (1 - 2z)(1 + z)^2
+@example([1], [-3], [1, 1, 1], False, 0)  # (1 - 3z)(1 + z + z^2)^2
+def test_one_sign_change_gives_the_sturm_enclosure(head, tail, repeated, flip, zeros):
+    # head then tail changes sign once; the square of another factor makes p
+    # not square-free, and its square-free part may change sign more often
+    base = P(*head, *tail) * P(-1 if flip else 1)
+    p = base * P(*repeated) * P(*repeated) * P(*[0] * zeros, 1)
+    assert root_or_error(smallest_positive_root, p) == \
+        root_or_error(sturm_only_smallest_positive_root, p)
+
+
+def test_two_sign_changes_still_isolate_the_smaller_root():
+    p = P(1, -2) * P(1, -3)  # roots 1/2 and 1/3
+    lo, hi = smallest_positive_root(p)
+    assert lo < Fraction(1, 3) < hi and (hi - lo) * 2 ** 64 < lo
+    assert (lo, hi) == sturm_only_smallest_positive_root(p)
 
 
 def successors_of(matrix):
