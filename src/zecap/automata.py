@@ -29,55 +29,80 @@ class AmbiguousExpressionError(Exception):
 # Regular expression trees
 
 
-@dataclass(frozen=True)
-class Empty:
+class _Node:
+    """A regular expression node; its string form is the CLI syntax."""
+
     def __str__(self) -> str:
-        return "#"
+        return _fold(self, _FORMAT)
 
 
 @dataclass(frozen=True)
-class Epsilon:
-    def __str__(self) -> str:
-        return "@"
+class Empty(_Node):
+    """The empty language, #."""
 
 
 @dataclass(frozen=True)
-class Letter:
+class Epsilon(_Node):
+    """The empty word, @."""
+
+
+@dataclass(frozen=True)
+class Letter(_Node):
     symbol: int
 
-    def __str__(self) -> str:
-        return str(self.symbol)
-
 
 @dataclass(frozen=True)
-class Union:
+class Union(_Node):
     left: "Regex"
     right: "Regex"
 
-    def __str__(self) -> str:
-        return f"({self.left}+{self.right})"
-
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(_Node):
     left: "Regex"
     right: "Regex"
 
-    def __str__(self) -> str:
-        return f"{self.left}{self.right}"
-
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Node):
     inner: "Regex"
-
-    def __str__(self) -> str:
-        return f"({self.inner})*"
 
 
 Regex = TyUnion[Empty, Epsilon, Letter, Union, Concat, Star]
 
 _LETTERS = {str(d): Letter(d) for d in range(10)}  # leaves are immutable, so shared
+
+
+def _fold(e: Regex, rules: dict) -> object:
+    """The value of e, where a node's value is ``rules[type(node)]`` applied
+    to the node and its children's values.  Nodes are visited in post-order,
+    left child first, on explicit stacks, so depth costs no recursion."""
+    values: list = []
+    todo: list = [e]
+    while todo:
+        node = todo.pop()
+        if node is _DONE:  # the children of the node below are done
+            node = todo.pop()
+            if type(node) is Star:
+                values[-1] = rules[Star](node, values[-1])
+            else:
+                right = values.pop()
+                values[-1] = rules[type(node)](node, values[-1], right)
+        elif type(node) is Concat or type(node) is Union:
+            todo += (node, _DONE, node.right, node.left)
+        elif type(node) is Star:
+            todo += (node, _DONE, node.inner)
+        elif type(node) in rules:
+            values.append(rules[type(node)](node))
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
+    return values[0]
+
+
+_DONE = object()
+_FORMAT = {Empty: lambda _: "#", Epsilon: lambda _: "@", Letter: lambda node: str(node.symbol),
+           Union: lambda _, a, b: f"({a}+{b})", Concat: lambda _, a, b: a + b,
+           Star: lambda _, inner: f"({inner})*"}
 
 
 def parse_regex(text: str) -> Regex:
@@ -191,31 +216,26 @@ def _positions(e: Regex) -> tuple[list[int], list[int], int]:
             follow[low.bit_length() - 1] |= first
             last ^= low
 
-    def walk(node: Regex) -> tuple[bool, int, int]:
-        """(nullable, first, last) of node; fills in follow on the way."""
-        if isinstance(node, Empty):
-            return False, 0, 0
-        if isinstance(node, Epsilon):
-            return True, 0, 0
-        if isinstance(node, Letter):
-            letter.append(node.symbol)
-            follow.append(0)
-            bit = 1 << (len(follow) - 1)
-            return False, bit, bit
-        if isinstance(node, Star):
-            _, first, last = walk(node.inner)
-            link(last, first)
-            return True, first, last
-        if isinstance(node, (Union, Concat)):
-            n1, f1, l1 = walk(node.left)
-            n2, f2, l2 = walk(node.right)
-            if isinstance(node, Union):
-                return n1 or n2, f1 | f2, l1 | l2
-            link(l1, f2)
-            return n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
-        raise TypeError(f"not a regex node: {node!r}")
+    def position(node: Letter) -> tuple[bool, int, int]:
+        letter.append(node.symbol)
+        follow.append(0)
+        bit = 1 << (len(follow) - 1)
+        return False, bit, bit
 
-    nullable, first, last = walk(e)
+    def star(node: Star, inner: tuple[bool, int, int]) -> tuple[bool, int, int]:
+        link(inner[2], inner[1])  # the last positions loop back to the first
+        return True, inner[1], inner[2]
+
+    def concat(node: Concat, left: tuple, right: tuple) -> tuple[bool, int, int]:
+        (n1, f1, l1), (n2, f2, l2) = left, right
+        link(l1, f2)
+        return n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
+
+    # (nullable, first, last) of each node; fills in follow on the way
+    nullable, first, last = _fold(e, {
+        Empty: lambda _: (False, 0, 0), Epsilon: lambda _: (True, 0, 0), Letter: position,
+        Star: star, Concat: concat,
+        Union: lambda _, a, b: (a[0] or b[0], a[1] | b[1], a[2] | b[2])})
     follow.append(first)
     return letter, follow, last | nullable << (len(follow) - 1)
 
@@ -306,7 +326,7 @@ def count_language(dfa: Dfa, up_to: int) -> list[int]:
 
 
 def generator_series(e: Regex) -> RationalFraction:
-    """Counting series of L(e) by the recursive composition rules.
+    """Counting series of L(e) by the composition rules.
 
     The composed series is proven equal to the word counts of e once, at the
     root, against a DFA of e (see _check_against_dfa).  Subexpressions are
@@ -321,7 +341,6 @@ def generator_series(e: Regex) -> RationalFraction:
     # shape -> index into series; a leaf's shape is its type
     number: dict[tuple, int] = {(Empty,): 0, (Epsilon,): 1, (Letter,): 2}
     series = [RationalFraction.from_int(0), RationalFraction.from_int(1), RationalFraction.z()]
-    met_empty = False
 
     def shape(key: tuple) -> int:
         if key not in number:
@@ -331,36 +350,31 @@ def generator_series(e: Regex) -> RationalFraction:
                           else RationalFraction.total(series[i] for i in key[1:]))
         return number[key]
 
-    def compose(node: Regex, check_each: bool) -> int:
-        nonlocal met_empty
-        if isinstance(node, (Empty, Epsilon, Letter)):
-            met_empty = met_empty or isinstance(node, Empty)
-            return number[(type(node),)]
-        if isinstance(node, Union):
-            chain = []
-            while isinstance(node, Union):
-                chain.append(node)
-                node = node.left
-            key = [Union, compose(node, check_each)]
-            for u in reversed(chain):  # in post-order, each union after its right side
-                key.append(compose(u.right, check_each))
-                if check_each:
-                    _check_against_dfa(u, series[shape(tuple(key))], regex_to_dfa(u))
-            return shape(tuple(key))
-        if isinstance(node, Concat):
-            i = shape((Concat, compose(node.left, check_each), compose(node.right, check_each)))
-        elif isinstance(node, Star):
-            inner = compose(node.inner, check_each)
-            if series[inner].value_at_zero() != 0:
-                raise AmbiguousExpressionError(
-                    "starred language contains the empty word", node)
-            i = shape((Star, inner))
-        else:
-            raise TypeError(f"not a regex node: {node!r}")
-        if check_each:
-            _check_against_dfa(node, series[i], regex_to_dfa(node))
+    def resolve(value) -> int:  # a union chain's key list is shaped when a non-union takes it
+        return value if type(value) is int else shape(tuple(value))
+
+    def checked(node: Regex, i: int) -> int:
+        f = series[i]  # the polynomials 0 and z^k cannot fail: see below
+        if check_each and (f.denominator.degree or sum(f.numerator.coefficients) > 1):
+            _check_against_dfa(node, f, regex_to_dfa(node))
         return i
 
+    def union(node: Union, left, right) -> list:
+        key = left if type(left) is list else [Union, left]
+        key.append(resolve(right))
+        if check_each:
+            checked(node, shape(tuple(key)))
+        return key
+
+    def star(node: Star, inner) -> int:
+        inner = resolve(inner)
+        if series[inner].value_at_zero() != 0:
+            raise AmbiguousExpressionError("starred language contains the empty word", node)
+        return checked(node, shape((Star, inner)))
+
+    rules = {Empty: lambda _: 0, Epsilon: lambda _: 1, Letter: lambda _: 2,
+             Concat: lambda node, a, b: checked(node, shape((Concat, resolve(a), resolve(b)))),
+             Union: union, Star: star}
     # One check at the root suffices.  Let s be the composed series and c the
     # word counts; both have nonnegative coefficients.  By induction s >= c
     # coefficient-wise at every node: c(F+G) <= c(F)+c(G), c(FG) <= c(F)c(G)
@@ -368,15 +382,19 @@ def generator_series(e: Regex) -> RationalFraction:
     # monotone operations.  So s = c at the root forces equality in every
     # step, hence s(F) = c(F) at every subexpression F, provided no language
     # is empty: c(G) = 0 makes c(FG) = 0 whatever F is.  A language can be
-    # empty only if e contains Empty; then every subexpression is checked.
+    # empty only if e contains Empty, whose shape 0 is then e or a child in a
+    # key; then every subexpression is checked, but for a series 0 or z^k:
+    # s = 0 exactly when the language is empty, so c <= s = z^k forces c = s.
+    check_each = False
     try:
-        f = series[compose(e, False)]
-        if not met_empty:
-            _check_against_dfa(e, f, regex_to_dfa(e))
-            return f
+        i = resolve(_fold(e, rules))
+        if i != 0 and not any(0 in key[1:] for key in number):
+            _check_against_dfa(e, series[i], regex_to_dfa(e))
+            return series[i]
     except AmbiguousExpressionError:
         pass  # redo with every check, to name the first failing node
-    return series[compose(e, True)]
+    check_each = True
+    return series[resolve(_fold(e, rules))]
 
 
 def _check_against_dfa(node: Regex, f: RationalFraction, dfa: Dfa) -> None:

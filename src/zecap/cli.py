@@ -333,7 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return (EXIT_BUDGET if isinstance(ex, graphs.BudgetExceededError) else
                 EXIT_VIOLATION if isinstance(ex, varlen.NonUniquelyDecodableError) else EXIT_USAGE)
-    except RecursionError:  # e.g. a word of about a thousand letters in --regex
+    except RecursionError:  # json.load of a --file nested thousands deep
         print(f"error: input too deep for the recursion limit ({sys.getrecursionlimit()})",
               file=sys.stderr)
         return EXIT_USAGE

@@ -612,15 +612,14 @@ def linear_recurrence_extend(coefficients: Sequence[int], seed: Sequence[int],
     """Extend an integer sequence by N[L] = sum_l coefficients[l-1] * N[L-l].
 
     ``coefficients[i]`` is the weight of lag i+1; the seed must cover at least
-    one full lag window.
+    one full lag window.  With Q = 1 - sum_l coefficients[l-1] z^l the
+    sequence is the expansion of (seed Q mod z^len(seed)) / Q.
     """
-    order = len(coefficients)
-    if len(seed) < order:
-        raise ValueError(f"seed must provide at least {order} initial terms")
-    terms = [int(x) for x in seed]
-    for L in range(len(terms), up_to + 1):
-        terms.append(sum(c * terms[L - l - 1] for l, c in enumerate(coefficients)))
-    return terms[:up_to + 1]
+    if len(seed) < len(coefficients):
+        raise ValueError(f"seed must provide at least {len(coefficients)} initial terms")
+    q = IntPolynomial([1] + [-c for c in coefficients])
+    p = IntPolynomial((IntPolynomial(seed) * q).coefficients[:len(seed)])
+    return series_coefficients(RationalFraction(p, q), up_to)
 
 
 def closed_form_counts(char_poly: IntPolynomial,

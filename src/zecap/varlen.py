@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .graphs import BudgetExceededError, ChannelGraph, Word, graph_by_name
 from .intermingled import _pair_search, _prefix_confusable, build_transition_graph, varlen_rule
-from .numerics import IntPolynomial, unique_positive_root
+from .numerics import IntPolynomial, RationalFraction, series_coefficients, unique_positive_root
 
 
 class NonUniquelyDecodableError(Exception):
@@ -38,31 +38,22 @@ class GeneratorSet:
         object.__setattr__(self, "words", normalized)
 
     @property
-    def min_length(self) -> int:
-        return min((len(w) for w in self.words), default=0)
-
-    @property
     def max_length(self) -> int:
         return max((len(w) for w in self.words), default=0)
-
-    @property
-    def length_gcd(self) -> int:
-        """gcd of word lengths; Fekete applies directly exactly when it is 1."""
-        return math.gcd(*(len(w) for w in self.words)) if self.words else 1
 
     def length_histogram(self) -> dict[int, int]:
         return dict(Counter(len(w) for w in self.words))
 
+    def length_polynomial(self) -> IntPolynomial:
+        """1 - sum #C_[l] z^l; 1/Q counts the concatenations by length."""
+        hist = self.length_histogram()
+        return IntPolynomial([1] + [-hist.get(l, 0) for l in range(1, self.max_length + 1)])
+
     def characteristic_polynomial(self) -> IntPolynomial:
-        """X^lmax - sum #C_[l] X^(lmax - l)."""
+        """X^lmax - sum #C_[l] X^(lmax - l), the reversed length polynomial."""
         if not self.words:
             raise ValueError("empty generator set has no characteristic polynomial")
-        lmax = self.max_length
-        coeffs = [0] * (lmax + 1)
-        coeffs[lmax] = 1
-        for l, cnt in self.length_histogram().items():
-            coeffs[lmax - l] -= cnt
-        return IntPolynomial(coeffs)
+        return IntPolynomial(self.length_polynomial().coefficients[::-1])
 
     def to_json(self, graph_name: Optional[str] = None) -> str:
         graph_field = graph_name if graph_name is not None else json.loads(self.graph.to_json())
@@ -95,22 +86,13 @@ def verify_zero_error(gs: GeneratorSet) -> tuple[bool, Optional[tuple[Word, Word
 
 
 def count_concatenations(gs: GeneratorSet, up_to: int) -> list[int]:
-    """#C*_[L] for L = 0..up_to by the length-histogram linear recurrence.
+    """#C*_[L] for L = 0..up_to: the coefficients of 1/gs.length_polynomial().
 
-    The recurrence counts factorizations; they are distinct words exactly
-    when the set is uniquely decodable, which is proven first.
+    They count factorizations, which are distinct words exactly when the set
+    is uniquely decodable; that is proven first.
     """
     _require_uniquely_decodable(gs)
-    return _count_factorizations(gs, up_to)
-
-
-def _count_factorizations(gs: GeneratorSet, up_to: int) -> list[int]:
-    """Factorizations over gs of each length L = 0..up_to, at least #C*_[L]."""
-    hist = gs.length_histogram()
-    counts = [1]
-    for L in range(1, up_to + 1):
-        counts.append(sum(cnt * counts[L - l] for l, cnt in hist.items() if l <= L))
-    return counts
+    return series_coefficients(RationalFraction(IntPolynomial([1]), gs.length_polynomial()), up_to)
 
 
 def two_factorizations(gs: GeneratorSet) -> Optional[tuple[tuple[Word, ...], tuple[Word, ...]]]:
@@ -141,7 +123,8 @@ def _require_uniquely_decodable(gs: GeneratorSet) -> None:
 
 def enumerate_codewords(gs: GeneratorSet, length: int, cap: int = 10 ** 6) -> list[Word]:
     """All distinct concatenations of exactly the given length, sorted."""
-    expected = _count_factorizations(gs, length)[length]
+    counts = RationalFraction(IntPolynomial([1]), gs.length_polynomial())
+    expected = series_coefficients(counts, length)[length]
     if expected > cap:
         raise BudgetExceededError(f"{expected} codewords exceed enumeration cap {cap}")
     by_length: list[set[Word]] = [set() for _ in range(length + 1)]

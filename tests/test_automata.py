@@ -387,6 +387,34 @@ expressions = st.recursive(
     max_leaves=5)
 
 
+def reference_str(node):
+    """Reference: the string form by recursion on the tree."""
+    if isinstance(node, Union):
+        return f"({reference_str(node.left)}+{reference_str(node.right)})"
+    if isinstance(node, Concat):
+        return reference_str(node.left) + reference_str(node.right)
+    if isinstance(node, Star):
+        return f"({reference_str(node.inner)})*"
+    return "#" if isinstance(node, Empty) else "@" if isinstance(node, Epsilon) else \
+        str(node.symbol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    st.sampled_from([Letter(0), Letter(7), Letter(12), Epsilon(), Empty()]),
+    lambda inner: st.one_of(st.builds(Union, inner, inner), st.builds(Concat, inner, inner),
+                            st.builds(Star, inner)),
+    max_leaves=30))
+def test_str_matches_the_recursive_formatter(e):
+    assert str(e) == reference_str(e)
+
+
+@pytest.mark.parametrize("walk", [str, regex_to_dfa, generator_series])
+def test_walks_reject_what_is_not_a_regex_node(walk):
+    with pytest.raises(TypeError, match="not a regex node: 'x'"):
+        walk(Concat(Letter(0), Star("x")))
+
+
 @settings(max_examples=150, deadline=None)
 @given(expressions)
 def test_rate_of_starred_expressions_matches_sympy(e):

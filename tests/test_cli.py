@@ -609,12 +609,94 @@ def test_rate_and_count_of_a_set_failing_the_prefix_test(capsys, argv, want):
     assert (code, out, err) == (0, want, "")
 
 
-@pytest.mark.parametrize("sub", ["count", "rate", "series", "dfa-dump"])
-def test_long_word_is_a_usage_error_without_a_traceback(capsys, sub):
-    # the position automaton and the series recurse once per letter
-    code, out, err = run(capsys, sub, "--regex", "(" + "0" * 1200 + ")*")
+def long_word_case(sub, n):
+    """argv and JSON answer of sub on (0^n)*, whose series is 1/(1 - z^n)."""
+    every_nth = [int(L % n == 0) for L in range(2 * n + 1)]
+    series = f"(1) / (-z^{n} +1)"
+    answers = {
+        "count": {"counts": every_nth},
+        "rate": {"method": "series-pole", "nu": 1.0, "r_bits": 0.0, "series": series,
+                 "polynomial_growth": False, "pole": [1.0, 0.0]},
+        "series": {"series": series, "coefficients": every_nth},
+        "dfa-dump": {"alphabet": [0], "transitions": [[s + 1] for s in range(n - 1)] + [[0], [n]],
+                     "start": 0, "accepting": [0], "sink": n}}
+    lengths = ["--L", str(2 * n)] if sub in ("count", "series") else []
+    return pytest.param([sub, "--regex", "(" + "0" * n + ")*"] + lengths, answers[sub],
+                        id=sub if n == 1200 else f"{sub}-{n}")
+
+
+@pytest.mark.parametrize("argv, want", [
+    *(long_word_case(sub, 1200) for sub in ["count", "rate", "series", "dfa-dump"]),
+    long_word_case("rate", 2000), long_word_case("series", 2000)])
+def test_long_word_is_answered(capsys, argv, want):
+    # the walks over the expression tree keep explicit stacks, not recursion
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, json.loads(out), err) == (0, want, "")
+
+
+def test_code_file_nested_past_the_recursion_limit_is_a_usage_error(tmp_path, capsys):
+    # Python's JSON reader recurses once per level of nesting
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "rate", "--file", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: input too deep for the recursion limit ({sys.getrecursionlimit()})\n"
+
+
+def word_dfa(word):
+    """dfa-dump's DFA of one word over the letters 0-9 that starts with 0 and
+    uses another letter: a chain, numbered breadth-first, with the sink 2."""
+    chain = [0, 1] + list(range(3, len(word) + 2))
+    transitions = [[2] * 10 for _ in range(len(word) + 2)]
+    for i, a in enumerate(word):
+        transitions[chain[i]][int(a)] = chain[i + 1]
+    return {"alphabet": list(range(10)), "transitions": transitions, "start": 0,
+            "accepting": [chain[-1]], "sink": 2}
+
+
+DEEP_WORD = "0123456789" * 500
+# 0000, 0001, ..., 4999: four letters, the first below 5
+DEEP_UNION = "+".join(f"{i:04d}" for i in range(5000))
+DEEP_STARS = "0" + "*" * 5000
+
+
+@pytest.mark.parametrize("regex, counts, dfa", [
+    (DEEP_WORD, [0] * 11, word_dfa(DEEP_WORD)),
+    (DEEP_UNION, [0, 0, 0, 0, 5000] + [0] * 6,
+     {"alphabet": list(range(10)), "start": 0, "accepting": [5], "sink": 2,
+      "transitions": [[1] * 5 + [2] * 5, [3] * 10, [2] * 10, [4] * 10, [5] * 10, [2] * 10]}),
+    (DEEP_STARS, [1] * 11,
+     {"alphabet": [0], "transitions": [[0], [1]], "start": 0, "accepting": [0], "sink": 1}),
+], ids=["word", "union", "stars"])
+def test_count_and_dfa_of_trees_5000_deep(capsys, regex, counts, dfa):
+    assert run(capsys, "count", "--regex", regex, "--format", "json") == \
+        (0, json.dumps({"counts": counts}) + "\n", "")
+    code, out, err = run(capsys, "dfa-dump", "--regex", regex, "--format", "json")
+    assert (code, json.loads(out), err) == (0, dfa, "")
+
+
+def test_series_of_a_union_of_5000_words(capsys):
+    code, out, err = run(capsys, "series", "--regex", f"({DEEP_UNION})*", "--L", "8",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"series": "(1) / (-5000z^4 +1)",
+                               "coefficients": [1, 0, 0, 0, 5000, 0, 0, 0, 5000 ** 2]}
+
+
+@pytest.mark.parametrize("regex, named", [
+    ("(" + "0" * 2000 + "+@)*", "((" + "0" * 2000 + "+@))*"),
+    (DEEP_STARS, "((0)*)*"),
+], ids=["word", "stars"])
+def test_star_of_a_nullable_deep_tree_is_named(capsys, regex, named):
+    code, out, err = run(capsys, "series", "--regex", regex)
+    assert (code, out) == (1, "")
+    assert err == f"error: starred language contains the empty word: {named}\n"
+
+
+def test_ambiguous_union_after_a_2000_letter_word_is_named(capsys):
+    code, out, err = run(capsys, "series", "--regex", "0" * 2000 + "(0+0)")
+    assert (code, out) == (1, "")
+    assert err == "error: series composition disagrees with word counts: (0+0)\n"
 
 
 def test_count_of_deeply_nested_parentheses(capsys):

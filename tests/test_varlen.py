@@ -31,14 +31,18 @@ def test_construction_validates():
 
 
 def test_length_stats():
-    assert PENTAGON_SET.min_length == 1
     assert PENTAGON_SET.max_length == 2
-    assert PENTAGON_SET.length_gcd == 1
     assert PENTAGON_SET.length_histogram() == {1: 1, 2: 5}
     assert PRUNED_SET.length_histogram() == {2: 5, 3: 2}
-    assert PRUNED_SET.length_gcd == 1
-    d2 = gen(["11", "23", "35", "42", "54"])
-    assert d2.length_gcd == 2
+    assert PENTAGON_SET.length_polynomial().coefficients == (1, -1, -5)
+    assert PRUNED_SET.length_polynomial().coefficients == (1, 0, -5, -2)
+
+
+def test_empty_set_has_only_the_empty_concatenation():
+    empty = GeneratorSet(C5P1, [])
+    assert empty.length_polynomial().coefficients == (1,)
+    assert enumerate_codewords(empty, 0) == [()]
+    assert enumerate_codewords(empty, 2) == []
 
 
 def test_characteristic_polynomial():
