@@ -456,13 +456,6 @@ class ChannelSeriesPrefix:
     terms: tuple[int, ...]
     exact: tuple[bool, ...]
 
-    def running_rate_lower_bound(self) -> float:
-        """max over computed l of alpha(G^boxtimes l)^(1/l)."""
-        best = 0.0
-        for l, a in enumerate(self.terms[1:], start=1):
-            best = max(best, a ** (1.0 / l))
-        return best
-
 
 def channel_series_prefix(g: ChannelGraph, up_to: int,
                           node_budget: int = 10 ** 8,

@@ -214,10 +214,7 @@ def cmd_alpha(args) -> int:
         rows = [["l", "alpha", "exact"]] + \
                [[l, a, e] for l, (a, e) in enumerate(zip(prefix.terms, prefix.exact))]
     else:
-        payload = {"alpha": list(prefix.terms), "exact": list(prefix.exact),
-                   "rate_lower_bound": prefix.running_rate_lower_bound()}
-        lines = []
-        best = 0.0
+        lines, best = [], 0.0
         rows = [["l", "alpha", "exact", "root", "running_max"]]
         for l, (a, ex) in enumerate(zip(prefix.terms, prefix.exact)):
             if l == 0:
@@ -228,6 +225,8 @@ def cmd_alpha(args) -> int:
             flag = "" if ex else "  (lower bound)"
             lines.append(f"l={l}: alpha={a}{flag}  alpha^(1/l)={_fmt(root)}")
             rows.append([l, a, ex, _fmt(root), _fmt(best)])
+        payload = {"alpha": list(prefix.terms), "exact": list(prefix.exact),
+                   "rate_lower_bound": best}
         bound = math.log2(best) if best > 0 else float("-inf")  # no vertices: alpha = 0
         lines.append(f"capacity lower bound: log2({_fmt(best)}) = {_fmt(bound)} bits")
     _emit(args, payload, lines, rows)

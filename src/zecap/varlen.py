@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import intermingled
 from .graphs import BudgetExceededError, ChannelGraph, Word, graph_by_name
 from .intermingled import _pair_search, _prefix_confusable, build_transition_graph, varlen_rule
 from .numerics import IntPolynomial, RationalFraction, series_coefficients, unique_positive_root
@@ -79,10 +80,12 @@ class GeneratorSet:
 
 
 def verify_zero_error(gs: GeneratorSet) -> tuple[bool, Optional[tuple[Word, Word]]]:
-    """(True, None) for a prefix-distinguishable set, else the first confusable pair by length."""
-    words = sorted(gs.words, key=len)
-    pair = _prefix_confusable(gs.graph, words)
-    return pair is None, pair and (words[pair[0]], words[pair[1]])
+    """(True, None) for a zero-error set (the empty one too), else two confusable
+    concatenations of equal length: ``intermingled.verify_zero_error`` under varlen."""
+    if not gs.words:
+        return True, None
+    res = intermingled.verify_zero_error(gs, varlen_rule())
+    return res.ok, res.violation
 
 
 def count_concatenations(gs: GeneratorSet, up_to: int) -> list[int]:
@@ -112,7 +115,7 @@ def two_factorizations(gs: GeneratorSet) -> Optional[tuple[tuple[Word, ...], tup
 
 def _require_uniquely_decodable(gs: GeneratorSet) -> None:
     """Raise NonUniquelyDecodableError, naming a word with two factorizations."""
-    if gs.words and _prefix_confusable(gs.graph, gs.words) is None:
+    if gs.words and not _prefix_confusable(gs.graph, gs.words):
         return  # distinguishable on every common prefix: a prefix code
     pair = two_factorizations(gs)
     if pair is not None:

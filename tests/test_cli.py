@@ -38,6 +38,35 @@ def test_verify_violation(capsys):
     assert "11 / 12" in out
 
 
+@pytest.mark.parametrize("words", ["3,30", "31,4", "22,325", "114,2133,2212"])
+def test_verify_words_proves_sets_the_trie_test_cannot(capsys, words):
+    # each set has two words confusable on their common prefix, yet no two
+    # concatenations of equal length are confusable
+    code, out, _ = run(capsys, "verify", "--graph", "C5+1", "--words", words)
+    assert (code, out) == (0, "zero-error: yes\n")
+
+
+@pytest.mark.parametrize("words, pair", [("11,112", "11112 / 11211"), ("11,12", "11 / 12")])
+def test_verify_words_names_two_confusable_sequences(capsys, words, pair):
+    code, out, _ = run(capsys, "verify", "--graph", "C5+1", "--words", words)
+    assert (code, out) == (2, f"zero-error: NO\nconfusable pair: {pair}\n")
+
+
+@pytest.mark.parametrize("words", ["3,30", "31,4", "22,325", "114,2133,2212", "11,112", "11,12",
+                                   "0,11,23,35,42,54"])
+def test_verify_words_and_varlen_file_agree(tmp_path, capsys, words):
+    g = graph_by_name("C5+1")
+    spec = {"generator": {"graph": "C5+1",
+                          "words": [[g.index_of(ch) for ch in w] for w in words.split(",")]},
+            "rule": {"family": "varlen"}}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "verify", "--graph", "C5+1", "--words", words, "--format", "json")
+    assert out.startswith('{"kind": "varlen", ')
+    want = out.replace('"varlen"', '"intermingled"', 1)
+    assert run(capsys, "verify", "--file", str(path), "--format", "json") == (code, want, "")
+
+
 def test_verify_parse_error(capsys):
     code, _, err = run(capsys, "verify", "--graph", "C5+1", "--words", "")
     assert code == 1
@@ -730,4 +759,4 @@ def test_csv_fields_holding_commas_are_quoted(capsys, argv, want_code):
     assert rows and all(len(row) == 2 for row in rows)
     fields = dict(rows)
     if "violation" in fields:
-        assert json.loads(fields["violation"]) == [[1, 1], [1, 1, 2]]
+        assert json.loads(fields["violation"]) == [[1, 1, 1, 1, 2], [1, 1, 2, 1, 1]]

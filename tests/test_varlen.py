@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zecap.graphs import BudgetExceededError, cycle, distinguishable, graph_by_name
+from zecap.graphs import (BudgetExceededError, ChannelGraph, cycle, distinguishable,
+                          graph_by_name)
+from zecap.intermingled import _prefix_confusable
 from zecap.varlen import (GeneratorSet, NonUniquelyDecodableError,
                           count_concatenations, enumerate_codewords, rate,
                           two_factorizations, verify_zero_error)
@@ -73,11 +75,11 @@ def test_verify_catches_confusable_pair():
 
 
 def test_verify_prefix_rule():
-    # 11 is confusable with 112: only the first two letters matter
+    # 11 is confusable with a prefix of 112, and 11.112 with 112.11
     bad = gen(["11", "112"])
     ok, violation = verify_zero_error(bad)
     assert not ok
-    assert violation == ((1, 1), (1, 1, 2))
+    assert violation == ((1, 1, 1, 1, 2), (1, 1, 2, 1, 1))
 
 
 def test_verify_heptagon_code():
@@ -233,8 +235,8 @@ def test_two_factorizations_witness_is_a_shortest_ambiguous_word(words):
 
 
 def pairwise_loop(gs):
-    """The quadratic test that verify_zero_error replaced: the first pair, in
-    the words' order sorted by length, confusable on its shorter length."""
+    """The quadratic form of the trie test: the first pair, in the words'
+    order sorted by length, confusable on its shorter length."""
     confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
     words = sorted(gs.words, key=len)
     for i, c in enumerate(words):
@@ -260,4 +262,56 @@ def prefix_sharing_sets(draw):
 @settings(max_examples=250, deadline=None)
 @given(prefix_sharing_sets())
 def test_verify_matches_the_pairwise_loop(gs):
-    assert verify_zero_error(gs) == pairwise_loop(gs)
+    assert _prefix_confusable(gs.graph, gs.words) == (not pairwise_loop(gs)[0])
+
+
+@st.composite
+def small_generator_sets(draw):
+    """Up to four distinct words of length at most three over a graph on one
+    to five letters with random edges."""
+    k = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = ChannelGraph.from_edges([str(i) for i in range(k)], edges)
+    words = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=3).map(tuple),
+                          min_size=1, max_size=4, unique=True))
+    return GeneratorSet(g, words)
+
+
+def brute_force_violation(gs, up_to=8):
+    """Two distinct factorizations of equal length at most up_to whose
+    concatenations are confusable letter by letter, or None.
+
+    Every pair of factorizations is grown word by word, the shorter side
+    first, while the two stay confusable; pairs that start with one word are
+    skipped, since dropping a common first word keeps a violation one.
+    """
+    confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
+    n = len(gs.words)
+    stack = [((i,), (j,)) for i in range(n) for j in range(n) if i != j]
+    while stack:
+        fa, fb = stack.pop()
+        a, b = (sum((gs.words[i] for i in f), ()) for f in (fa, fb))
+        if max(len(a), len(b)) > up_to or not all(confusable[x] >> y & 1
+                                                  for x, y in zip(a, b)):
+            continue
+        if len(a) == len(b):
+            return fa, fb
+        stack += [(fa + (i,), fb) if len(a) < len(b) else (fa, fb + (i,)) for i in range(n)]
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_generator_sets())
+def test_verify_matches_brute_force(gs):
+    ok, violation = verify_zero_error(gs)
+    if brute_force_violation(gs) is not None:
+        assert not ok
+    if ok:
+        assert violation is None
+        return
+    a, b = violation
+    confusable = [m | 1 << v for v, m in enumerate(gs.graph.neighbor_masks)]
+    assert len(a) == len(b) and all(confusable[x] >> y & 1 for x, y in zip(a, b))
+    assert factorization_count(gs, a) and factorization_count(gs, b)
+    assert a != b or factorization_count(gs, a) >= 2
